@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import filtration, homalg, serialize, walks, words
-from .errors import ClannishError
+from .errors import ClannishError, InvalidInput
 from .examples import BUNDLED
 from .fields import make_field
 from .presentation import algebra_dimension, enumerate_admissible_paths
@@ -36,17 +36,21 @@ CASE_NAMES = {
 
 def load_presentation(path):
     if path.startswith("example:"):
-        name = path.split(":", 1)[1]
-        return BUNDLED[name.upper()]()
-    with open(path, "r", encoding="utf-8") as fh:
-        return serialize.presentation_from_json(json.load(fh))
+        name = path.split(":", 1)[1].upper()
+        if name not in BUNDLED:
+            raise InvalidInput(f"no bundled presentation {name!r}; there are {sorted(BUNDLED)}")
+        return BUNDLED[name]()
+    return serialize.presentation_from_json(serialize.read_json(path))
 
 
 def load_module(path, pres_path=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Read a module and check it against its presentation before any work."""
+    data = serialize.read_json(path)
     pres = load_presentation(pres_path) if pres_path else None
-    return serialize.representation_from_json(data, pres=pres)
+    rep = serialize.representation_from_json(data, pres=pres)
+    if not rep.check_relations():
+        raise InvalidInput(f"{path}: the module breaks a defining relation")
+    return rep
 
 
 def emit(args, payload):
@@ -151,8 +155,7 @@ def cmd_basis(args):
 def _load_param(spec, path):
     if path is None:
         return {"dim": 1}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return serialize.read_json(path)
 
 
 def cmd_build(args):
@@ -212,48 +215,9 @@ def cmd_fdim(args):
 
 def cmd_decompose(args):
     rep = load_module(args.module, args.presentation)
-    if args.jobs and args.jobs > 1:
-        report = _decompose_parallel(rep, args)
-    else:
-        report = filtration.multiplicities(rep, args.max_len, args.max_period)
-    payload = report.as_dict()
-    emit(args, payload)
+    report = filtration.multiplicities(rep, args.max_len, args.max_period)
+    emit(args, report.as_dict())
     return 0
-
-
-def _decompose_parallel(rep, args):
-    from concurrent.futures import ProcessPoolExecutor
-
-    pres = rep.pres
-    descs = filtration.candidate_descriptors(pres, rep.dim(), args.max_len, args.max_period)
-    pres_json = json.dumps(serialize.presentation_to_json(pres), sort_keys=True)
-    rep_json = json.dumps(serialize.representation_to_json(rep, include_presentation=False), sort_keys=True)
-    work = [json.dumps(serialize.word_to_json(d.word), sort_keys=True) for d in descs]
-    entries = []
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        results = pool.map(
-            _fdim_worker, [(pres_json, rep_json, w) for w in work], chunksize=8
-        )
-        for desc, triple in zip(descs, results):
-            rank, f = triple
-            if f:
-                entries.append((desc, rank, f))
-    checksum = sum(r * f for _, r, f in entries)
-    dim = rep.dim()
-    return filtration.DecompositionReport(entries, dim, checksum, checksum == dim)
-
-
-def _fdim_worker(payload):
-    pres_json, rep_json, word_json = payload
-    pres = serialize.presentation_from_json(json.loads(pres_json))
-    rep = serialize.representation_from_json(json.loads(rep_json), pres=pres)
-    word = serialize.word_from_json(pres, json.loads(word_json))
-    desc = _descriptor_of(pres, word)
-    spec = walks.rw_descriptor(pres, desc)
-    if len(spec.Jw) > rep.dim():
-        return len(spec.Jw), 0
-    report = filtration.f_dim(rep, spec)
-    return report.rank, report.f_dim
 
 
 def cmd_oracle_check(args):
@@ -334,7 +298,6 @@ def build_parser():
     sp.add_argument("--presentation", default=None)
     sp.add_argument("--max-len", type=int, default=None)
     sp.add_argument("--max-period", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("oracle-check", help="brute-force decomposition vs report")

@@ -96,3 +96,12 @@ class PresentationMismatch(ClannishError):
 
 class TooLarge(ClannishError):
     pass
+
+
+class InvalidInput(ClannishError):
+    """Input that cannot be read, does not parse, or does not fit the
+    presentation it is read against."""
+
+
+class OracleFailure(ClannishError):
+    """The brute-force oracle ended without a decision."""

@@ -35,13 +35,6 @@ def _trim(c):
     return tuple(c)
 
 
-def _poly_add(a, b, p):
-    m = max(len(a), len(b))
-    return _trim(
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(m)
-    )
-
-
 def _poly_sub(a, b, p):
     m = max(len(a), len(b))
     return _trim(
@@ -213,10 +206,6 @@ class FieldElement:
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
-    def to_int(self):
-        p = self.field.p
-        return sum(c * p ** i for i, c in enumerate(self.coeffs))
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -306,6 +295,9 @@ class Field:
         self._mul_table = None
         self._frob_table = None
         self._gen = None
+        # prime-field matrices of multiplication and Frobenius (see linalg)
+        self._mult_matrices = {}
+        self._frob_matrices = {}
 
     # -- construction -------------------------------------------------------
 
@@ -339,9 +331,6 @@ class Field:
 
     def frobenius(self, k=1):
         return Aut(self, k)
-
-    def identity_aut(self):
-        return Aut(self, 0)
 
     def automorphisms(self):
         return [Aut(self, k) for k in range(self.n)]
@@ -446,21 +435,3 @@ def make_field(p, n, modulus=None):
         f = Field._cache.setdefault((p, n, f.modulus), f)
         Field._cache[key] = f
     return f
-
-
-def compose_aut(a, b):
-    """Composition a after b."""
-    return a * b
-
-
-def invert_aut(a):
-    return a.inverse()
-
-
-def apply_aut(a, x):
-    return a(x)
-
-
-def apply_semilinear(f, v):
-    """Apply a semilinear map (see :mod:`clannish.linalg`) to a row vector."""
-    return f.apply(v)

@@ -21,12 +21,6 @@ from .walks import (
 from . import words as words_mod
 
 
-def _letters_of(walk):
-    if walk.shape == "finite":
-        return walk.letters
-    return walk.letters + walk.period  # prefix then one period (right shape)
-
-
 def _apply_walk_letters(rep, letters, space):
     """Apply the chain of letter relations right to left to a subspace."""
     for wl in reversed(letters):
@@ -159,9 +153,6 @@ class DecompositionReport:
         }
 
 
-_DESC_CACHE = {}
-
-
 def candidate_descriptors(pres, dim, max_len=None, max_period=None):
     """All strings/bands that could contribute to a module of K-dimension dim.
 
@@ -170,10 +161,10 @@ def candidate_descriptors(pres, dim, max_len=None, max_period=None):
     bands period <= dim and symmetric bands period <= 2 dim.  Symmetric
     shapes only exist in the presence of special loops.
     """
-    key = (id(pres), dim, max_len, max_period)
-    hit = _DESC_CACHE.get(key)
+    key = (dim, max_len, max_period)
+    hit = pres._descriptors.get(key)
     if hit is not None:
-        return hit[1]
+        return hit
     has_special = bool(pres.special)
     asym_len = dim - 1 if max_len is None else max_len
     sym_len = 2 * dim - 1 if max_len is None else max_len
@@ -197,7 +188,7 @@ def candidate_descriptors(pres, dim, max_len=None, max_period=None):
             if d.symmetric and words_mod.word_key(pres, d.word) not in seen:
                 descs.append(d)
                 seen.add(words_mod.word_key(pres, d.word))
-    _DESC_CACHE[key] = (pres, descs)
+    pres._descriptors[key] = descs
     return descs
 
 
@@ -225,15 +216,12 @@ def multiplicities(rep, max_len=None, max_period=None, descriptors=None):
     return DecompositionReport(entries, dim, checksum, checksum == dim)
 
 
-_SPEC_CACHE = {}
-
-
 def _spec_of(pres, desc):
-    key = (id(pres), words_mod.word_key(pres, desc.word), desc.word.shape)
-    hit = _SPEC_CACHE.get(key)
+    key = (words_mod.word_key(pres, desc.word), desc.word.shape)
+    hit = pres._specs.get(key)
     if hit is None:
-        hit = _SPEC_CACHE[key] = (pres, rw_descriptor(pres, desc))
-    return hit[1]
+        hit = pres._specs[key] = rw_descriptor(pres, desc)
+    return hit
 
 
 def _vertex_counts_fit(rep, spec):

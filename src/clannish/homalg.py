@@ -14,12 +14,15 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import PresentationMismatch, TooLarge
-from .fields import Aut
+from .errors import OracleFailure, PresentationMismatch, SpaceMismatch, TooLarge
+from .fields import Aut, _poly_divmod, _poly_gcd, _poly_mul, _poly_powmod, _poly_sub, _trim
 from .linalg import (
     Matrix,
+    frob_matrix,
+    k_rref,
     left_nullspace,
     mat_vec,
+    mult_matrix,
     prime_matrix,
     rref,
 )
@@ -77,37 +80,18 @@ def sub_representation(rep, spaces):
 
 def _coords_in_basis(field, basis_matrix, vector):
     """Solve x @ basis_matrix == vector over K (basis rows independent)."""
-    nn = basis_matrix.nrows
-    if nn == 0:
-        if any(vector):
-            raise ArithmeticError("vector outside the subspace")
-        return []
-    cols = basis_matrix.ncols
-    aug = [list(basis_matrix.rows[i]) + [field.one() if j == i else field.zero() for j in range(nn)] for i in range(nn)]
+    nn, cols = basis_matrix.nrows, basis_matrix.ncols
+    ident = Matrix.identity(field, nn).rows
+    pivots, rows = k_rref([r + e for r, e in zip(basis_matrix.rows, ident)], cols)
+    # each reduced row is (basis combination, its coefficients): subtract
+    # them from (vector, 0) until the vector part is zero
     vec = list(vector) + [field.zero()] * nn
-    # gaussian elimination on the basis rows, tracking operations on vec
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, nn) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(nn):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        if vec[c]:
-            f = vec[c]
-            vec = [x - f * y for x, y in zip(vec, aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nn:
-            break
+    for c, row in zip(pivots, rows):
+        f = vec[c]
+        if f:
+            vec = [x - f * y for x, y in zip(vec, row)]
     if any(vec[:cols]):
-        raise ArithmeticError("vector outside the subspace")
+        raise SpaceMismatch("vector outside the subspace")
     return [-x for x in vec[cols:]]
 
 
@@ -164,7 +148,7 @@ def hom_space(m1, m2):
                         coef = ma.rows[out_i][k]
                         if not coef:
                             continue
-                        rm = _entry_mult_rows(field, coef)
+                        rm = mult_matrix(field, coef)
                         base = offsets[info.target] + (k * m2.dims[info.target] + out_j) * n
                         for cc in range(n):
                             row[base + cc] = (row[base + cc] + rm[cc][out_c]) % p
@@ -173,8 +157,8 @@ def hom_space(m1, m2):
                         coef = na.rows[k][out_j]
                         if not coef:
                             continue
-                        rm = _entry_mult_rows(field, coef)
-                        fm = _frob_rows(field, sigma.k)
+                        rm = mult_matrix(field, coef)
+                        fm = frob_matrix(field, sigma.k)
                         base = offsets[info.source] + (out_i * m2.dims[info.source] + k) * n
                         for cc in range(n):
                             # coordinate cc of T entry passes through frobenius
@@ -202,29 +186,9 @@ def hom_space(m1, m2):
     return HomSpace(m1, m2, basis)
 
 
-def _entry_mult_rows(field, lam):
-    from .linalg import mult_matrix
-
-    return mult_matrix(field, lam)
-
-
-def _frob_rows(field, k):
-    from .linalg import frob_matrix
-
-    return frob_matrix(field, k)
-
-
 def compose_morphisms(first, then):
     """Matrices of (then o first): v -> v @ T_first @ T_then, per vertex."""
     return {v: first[v] @ then[v] for v in first}
-
-
-def morphism_is_identity(m, rep):
-    return all(m[v] == Matrix.identity(rep.field, rep.dims[v]) for v in rep.dims)
-
-
-def identity_morphism(rep):
-    return {v: Matrix.identity(rep.field, rep.dims[v]) for v in rep.dims}
 
 
 def morphism_invertible(m):
@@ -291,7 +255,7 @@ class EndAlgebra:
             if s[-1] % self.p:
                 inv = pow(s[-1], self.p - 2, self.p)
                 return [(-inv * c) % self.p for c in s[:-1]]
-        raise ArithmeticError("matrix not in the algebra")
+        raise SpaceMismatch("matrix not in the algebra")
 
 
 def _mat_mul(a, b, p):
@@ -402,12 +366,6 @@ def _combine(basis, coeffs, p):
     return out
 
 
-def _charpoly_coefficient_sign_note():
-    # charpoly is monic with coefficients c_k appearing at degree n-k; the
-    # radical chain only needs vanishing, so global signs are irrelevant
-    return None
-
-
 def min_poly(mat, p):
     """Minimal polynomial of an F_p matrix, lowest degree first, monic."""
     nn = len(mat)
@@ -434,105 +392,45 @@ def min_poly(mat, p):
 # -- polynomial factorization over F_p (for idempotent splitting) ----------------
 
 
-def _pp(poly, p):
-    poly = [c % p for c in poly]
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _pdivmod(a, b, p):
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv) % p
-        k = len(a) - 1 - db
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] = (a[k + i] - c * b[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _pp(q, p), _pp(a, p)
-
-
-def _pgcd(a, b, p):
-    a, b = _pp(a, p), _pp(b, p)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _ppowmod(a, e, m, p):
-    r = [1]
-    a = _pdivmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            r = _pdivmod(_pmul(r, a, p), m, p)[1]
-        a = _pdivmod(_pmul(a, a, p), m, p)[1]
-        e >>= 1
-    return r
-
-
 def _pderiv(a, p):
-    return _pp([(i * c) % p for i, c in enumerate(a)][1:], p)
-
-
-def _psub(a, b, p):
-    m = max(len(a), len(b))
-    return _pp(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(m)], p
-    )
+    return _trim([(i * c) % p for i, c in enumerate(a)][1:])
 
 
 def _pxgcd(a, b, p):
     """(g, u, v) with u a + v b = g, g monic."""
-    r0, r1 = _pp(a, p), _pp(b, p)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
+    r0, r1 = _trim(a), _trim(b)
+    u0, u1 = (1,), ()
+    v0, v1 = (), (1,)
     while r1:
-        q, r = _pdivmod(r0, r1, p)
+        q, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1, p), p)
-        v0, v1 = v1, _psub(v0, _pmul(q, v1, p), p)
+        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1, p), p)
+        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1, p), p)
     if r0:
         inv = pow(r0[-1], p - 2, p)
-        r0 = [(c * inv) % p for c in r0]
-        u0 = [(c * inv) % p for c in u0]
-        v0 = [(c * inv) % p for c in v0]
+        r0, u0, v0 = (tuple((c * inv) % p for c in x) for x in (r0, u0, v0))
     return r0, u0, v0
+
+
+def _monic(f, p):
+    f = _trim(c % p for c in f)
+    inv = pow(f[-1], p - 2, p)
+    return tuple((c * inv) % p for c in f)
 
 
 def _one_irreducible_factor(f, p, rng):
     """Some monic irreducible factor of a nonconstant polynomial."""
-    f = _pp(f, p)
-    inv = pow(f[-1], p - 2, p)
-    f = [(c * inv) % p for c in f]
+    f = _monic(f, p)
     if len(f) == 2:
         return f
     d = _pderiv(f, p)
     if not d:
         # f(x) = g(x)^p with matching coefficients over F_p
-        g = [f[i] for i in range(0, len(f), p)]
+        g = f[::p]
         return _one_irreducible_factor(g, p, rng)
-    g = _pgcd(f, d, p)
+    g = _poly_gcd(f, d, p)
     if len(g) > 1:
-        square_free = _pdivmod(f, g, p)[0]
+        square_free = _poly_divmod(f, g, p)[0]
         if len(square_free) > 1:
             return _one_irreducible_factor_squarefree(square_free, p, rng)
         return _one_irreducible_factor(g, p, rng)
@@ -542,12 +440,12 @@ def _one_irreducible_factor(f, p, rng):
 def _one_irreducible_factor_squarefree(f, p, rng):
     if len(f) == 2:
         return f
-    x = [0, 1]
+    x = (0, 1)
     h = x
     deg = len(f) - 1
     for d in range(1, deg + 1):
-        h = _ppowmod(h, p, f, p)
-        g = _pgcd(_psub(h, x, p), f, p)
+        h = _poly_powmod(h, p, f, p)
+        g = _poly_gcd(_poly_sub(h, x, p), f, p)
         if len(g) > 1:
             if len(g) - 1 == d:
                 return g
@@ -562,40 +460,38 @@ def _equal_degree_factor(f, d, p, rng):
     if len(f) - 1 == d:
         return f
     while True:
-        h = _pp([rng.randrange(p) for _ in range(len(f) - 1)], p)
+        h = _trim(rng.randrange(p) for _ in range(len(f) - 1))
         if len(h) <= 1:
             continue
-        g = _pgcd(h, f, p)
+        g = _poly_gcd(h, f, p)
         if not 1 < len(g) < len(f):
             if p == 2:
                 t, acc = h, h
                 for _ in range(d - 1):
-                    acc = _pdivmod(_pmul(acc, acc, 2), f, 2)[1]
-                    t = _psub(t, acc, 2)
+                    acc = _poly_divmod(_poly_mul(acc, acc, 2), f, 2)[1]
+                    t = _poly_sub(t, acc, 2)
             else:
-                t = _psub(_ppowmod(h, (p ** d - 1) // 2, f, p), [1], p)
-            g = _pgcd(t, f, p)
+                t = _poly_sub(_poly_powmod(h, (p ** d - 1) // 2, f, p), (1,), p)
+            g = _poly_gcd(t, f, p)
         if 1 < len(g) < len(f):
-            part = g if len(g) <= (len(f) + 1) // 2 else _pdivmod(f, g, p)[0]
+            part = g if len(g) <= (len(f) + 1) // 2 else _poly_divmod(f, g, p)[0]
             return _equal_degree_factor(part, d, p, rng)
 
 
 def factor_poly(poly, p, rng):
     """Primary factorization over F_p: list of (monic irreducible, multiplicity)."""
-    f = _pp(poly, p)
-    inv = pow(f[-1], p - 2, p)
-    f = [(c * inv) % p for c in f]
+    f = _monic(poly, p)
     out = []
     while len(f) > 1:
         g = _one_irreducible_factor(f, p, rng)
         m = 0
         while True:
-            q, r = _pdivmod(f, g, p)
+            q, r = _poly_divmod(f, g, p)
             if r:
                 break
-            f = q if q else [1]
+            f = q if q else (1,)
             m += 1
-        out.append((g, m))
+        out.append((list(g), m))
     return out
 
 
@@ -701,11 +597,11 @@ def _splitting_idempotent_from(alg, coeffs, rng):
     g1, m1 = facs[0]
     g1m = g1
     for _ in range(m1 - 1):
-        g1m = _pmul(g1m, g1, p)
-    g2 = _pdivmod(mp, g1m, p)[0]
+        g1m = _poly_mul(g1m, g1, p)
+    g2 = _poly_divmod(mp, g1m, p)[0]
     _, u, v = _pxgcd(g1m, g2, p)
     # e = (v g2)(x) is the projector onto ker(g1m(x))
-    e_poly = _pmul(v, g2, p)
+    e_poly = _poly_mul(v, g2, p)
     e = _poly_eval_matrix(e_poly, x, p)
     if _mat_eq_zero(e) or _mat_eq_zero(_psub_mat(e, _identity(alg.amb), p)):
         return None
@@ -748,29 +644,7 @@ def _find_splitting_idempotent(rep, alg):
         coeffs = _idempotent_exhaustive(alg)
         if coeffs is not None:
             return alg.element(coeffs)
-    raise ArithmeticError("no splitting idempotent found for a decomposable module")
-
-
-def _k_row_basis(field, mat):
-    """Independent rows spanning the K-row space, in echelon form."""
-    rows = [list(r) for r in mat.rows]
-    basis = []
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for piv, b in zip(pivots, basis):
-            if row[piv]:
-                f = row[piv]
-                row = [x - f * y for x, y in zip(row, b)]
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is None:
-            continue
-        inv = row[piv].inverse()
-        row = [inv * x for x in row]
-        basis.append(row)
-        pivots.append(piv)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return Matrix(field, [basis[i] for i in order], len(basis), mat.ncols)
+    raise OracleFailure("no splitting idempotent found for a decomposable module")
 
 
 def _split_by_idempotent(rep, e_flat):
@@ -803,7 +677,7 @@ def _split_by_idempotent(rep, e_flat):
             mat = Matrix(field, rows, d, d)
             if use_complement:
                 mat = Matrix.identity(field, d) - mat
-            spaces[v] = _k_row_basis(field, mat)
+            spaces[v] = Matrix(field, k_rref(mat.rows)[1], ncols=d)
         out.append(sub_representation(rep, spaces))
     return out
 
@@ -829,7 +703,7 @@ def brute_decompose(rep, limit=BRUTE_LIMIT):
     e = _find_splitting_idempotent(rep, alg)
     part_a, part_b = _split_by_idempotent(rep, e)
     if part_a.dim() == 0 or part_b.dim() == 0:
-        raise ArithmeticError("idempotent failed to split the module")
+        raise OracleFailure("idempotent failed to split the module")
     return brute_decompose(part_a, limit) + brute_decompose(part_b, limit)
 
 
@@ -876,9 +750,8 @@ def are_isomorphic(m1, m2, tries=64):
         phi = _combine_morphisms(h12, coeffs, m1.field)
         if morphism_invertible(phi):
             return True
-    if m1.prime_dim() <= BRUTE_LIMIT and m2.prime_dim() <= BRUTE_LIMIT:
-        return _match_summands(brute_decompose(m1), brute_decompose(m2))
-    return False
+    # above BRUTE_LIMIT brute_decompose raises TooLarge rather than guess
+    return _match_summands(brute_decompose(m1), brute_decompose(m2))
 
 
 def _combine_morphisms(hs, coeffs, field):

@@ -89,9 +89,6 @@ class Matrix:
     def entrywise(self, fn):
         return Matrix(self.field, [[fn(a) for a in r] for r in self.rows], self.nrows, self.ncols)
 
-    def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)) or [[] for _ in range(self.ncols)], self.ncols, self.nrows)
-
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 
@@ -111,28 +108,16 @@ class Matrix:
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
         nn = self.nrows
-        f = self.field
-        aug = [list(r) + list(Matrix.identity(f, nn).rows[i]) for i, r in enumerate(self.rows)]
-        col = 0
-        for col in range(nn):
-            piv = next((r for r in range(col, nn) if aug[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [inv * a for a in aug[col]]
-            for r in range(nn):
-                if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
-        return Matrix(f, [r[nn:] for r in aug], nn, nn)
+        ident = Matrix.identity(self.field, nn).rows
+        pivots, rows = k_rref([r + e for r, e in zip(self.rows, ident)], nn)
+        if len(pivots) < nn:
+            raise ZeroDivisionError("matrix is singular")
+        return Matrix(self.field, [r[nn:] for r in rows], nn, nn)
 
     def is_invertible(self):
-        try:
-            self.inverse()
-            return True
-        except ZeroDivisionError:
-            return False
+        if self.nrows != self.ncols:
+            raise DimensionMismatch("inverse of non-square matrix")
+        return len(k_rref(self.rows)[0]) == self.nrows
 
     def apply_row(self, v):
         """Row vector times this matrix."""
@@ -147,6 +132,36 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix[" + "; ".join(" ".join(repr(a) for a in r) for r in self.rows) + "]"
+
+
+def k_rref(rows, width=None):
+    """Gauss-Jordan elimination over K: (pivot columns, reduced pivot rows).
+
+    ``rows`` are sequences of field elements.  Pivots are sought in the first
+    ``width`` columns only (all columns by default); rows left without a pivot
+    there are dropped.  With the default width the result is the canonical
+    reduced echelon basis of the row space.
+    """
+    rows = [list(r) for r in rows]
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        top = rows[r] = [inv * x if x else x for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [x - f * y if y else x for x, y in zip(row, top)]
+        pivots.append(c)
+    return pivots, rows[: len(pivots)]
 
 
 class SemilinearMap:
@@ -388,34 +403,31 @@ def left_nullspace(rows, p, width=None):
 # bridge between K-objects and prime-field coordinates
 
 
-_MULT_CACHE = {}
-_FROB_CACHE = {}
-
-
 def mult_matrix(field, lam):
     """F_p matrix of y -> y*lam on coefficient row vectors."""
     lam = field.el(lam)
-    key = (id(field), lam.coeffs)
-    hit = _MULT_CACHE.get(key)
+    cache = field._mult_matrices
+    hit = cache.get(lam.coeffs)
     if hit is None:
         rows = []
         for j in range(field.n):
             basis = field.el([0] * j + [1])
             rows.append(list((basis * lam).coeffs))
-        hit = _MULT_CACHE[key] = rows
+        hit = cache[lam.coeffs] = rows
     return hit
 
 
 def frob_matrix(field, k):
     """F_p matrix of the k-th Frobenius power on coefficient row vectors."""
-    key = (id(field), k % field.n)
-    hit = _FROB_CACHE.get(key)
+    k %= field.n
+    cache = field._frob_matrices
+    hit = cache.get(k)
     if hit is None:
         rows = []
         for j in range(field.n):
             basis = field.el([0] * j + [1])
             rows.append(list(Aut(field, k)(basis).coeffs))
-        hit = _FROB_CACHE[key] = rows
+        hit = cache[k] = rows
     return hit
 
 

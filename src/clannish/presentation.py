@@ -62,7 +62,8 @@ class ArrowInfo:
 
 
 class Presentation:
-    """A validated presentation; immutable after construction."""
+    """A validated presentation; immutable after construction apart from the
+    caches that filtration fills."""
 
     def __init__(self, field, vertices, arrows, special, zero_relations, signs):
         self.field = field
@@ -72,14 +73,14 @@ class Presentation:
         self.special = dict(special)  # name -> SkewQuadratic
         self.zero_relations = tuple(tuple(r) for r in zero_relations)
         self.signs = dict(signs)  # Letter -> +-1
+        # candidate descriptors and their specs, filled by filtration
+        self._descriptors = {}
+        self._specs = {}
 
     # -- arrows and letters ---------------------------------------------------
 
     def sigma(self, name):
         return Aut(self.field, self.arrows[name].sigma_k)
-
-    def is_special(self, name):
-        return name in self.special
 
     def quadratic(self, name):
         return self.special[name]
@@ -108,10 +109,6 @@ class Presentation:
     def specials_at(self, vertex):
         return [s for s in sorted(self.special) if self.arrows[s].source == vertex]
 
-    def letter_sigma(self, letter):
-        s = self.sigma(letter.name)
-        return s.inverse() if letter.kind == "i" else s
-
     # -- paths ----------------------------------------------------------------
 
     def path_endpoints(self, names, vertex=None):
@@ -138,14 +135,6 @@ class Presentation:
                 if tuple(names[i : i + k]) == r:
                     return True
         return False
-
-    def is_special_admissible(self, names):
-        return not any(
-            x == y and x in self.special for x, y in zip(names, names[1:])
-        )
-
-    def is_admissible_path(self, names):
-        return self.is_special_admissible(names) and not self.contains_zero_relation(names)
 
     # -- misc -----------------------------------------------------------------
 
@@ -438,16 +427,6 @@ def _reduce_terms(pres, raw):
     return out
 
 
-def reduce_element(pres, terms):
-    """Normal form of an iterable of (coeff, names[, vertex]) raw path terms."""
-    total = AlgebraElement.zero(pres)
-    for item in terms:
-        coeff, names = item[0], tuple(item[1])
-        vertex = item[2] if len(item) > 2 else None
-        total = total + AlgebraElement.path(pres, names, coeff, vertex)
-    return total
-
-
 def enumerate_admissible_paths(pres, max_len):
     """All admissible paths of length <= max_len, shortest first.
 
@@ -484,34 +463,10 @@ def _new_relation_at_end(pres, names):
     return False
 
 
-def count_admissible_paths(pres, max_len):
-    per_len = []
-    layer = [(v, ()) for v in pres.vertices]
-    per_len.append(len(layer))
-    for _ in range(max_len):
-        nxt = []
-        for v, names in layer:
-            source = pres.path_endpoints(names, v)[0]
-            for b in sorted(pres.arrow_names):
-                if pres.arrows[b].target != source:
-                    continue
-                cand = names + (b,)
-                if names and names[-1] == b and b in pres.special:
-                    continue
-                if _new_relation_at_end(pres, cand):
-                    continue
-                nxt.append((None, cand))
-        layer = nxt
-        per_len.append(len(layer))
-        if not layer:
-            break
-    return per_len
-
-
 def algebra_dimension(pres):
     """K-dimension of the algebra, or None when infinite-dimensional."""
     bound = len(pres.arrow_names) * len(pres.vertices) * 2 + pres.max_relation_length()
-    counts = count_admissible_paths(pres, bound)
-    if counts[-1] != 0:
+    paths = enumerate_admissible_paths(pres, bound)
+    if any(len(names) == bound for _, names in paths):
         return None
-    return sum(counts)
+    return len(paths)

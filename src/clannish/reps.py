@@ -75,7 +75,3 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(dims={self.dims})"
-
-
-def zero_representation(pres):
-    return Representation(pres, {}, {})

@@ -5,12 +5,33 @@ from __future__ import annotations
 
 import json
 
-from .errors import ClannishError
+from .errors import FieldMismatch, InvalidInput, PresentationMismatch
 from .fields import make_field
 from .linalg import Matrix
 from .presentation import ArrowInfo, Letter, validate
 from .reps import Representation
 from .words import Word, validate_word
+
+
+def read_json(path):
+    """The JSON document in a file; unreadable or malformed files raise
+    InvalidInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidInput(f"{path} is not a JSON document: {exc}") from exc
+
+
+def _check_names(pres, letters, v0=None):
+    """Reject letters and a vertex the presentation does not have."""
+    for letter in letters:
+        if letter not in pres.signs:
+            raise InvalidInput(f"the presentation has no letter '{letter!r}'")
+    if v0 is not None and v0 not in pres.vertices:
+        raise InvalidInput(f"the presentation has no vertex {v0!r}")
 
 
 def element_to_json(x):
@@ -98,9 +119,10 @@ def word_to_json(w):
 
 def word_from_json(pres, data):
     letters = tuple(letter_from_json(l) for l in data.get("letters", []))
+    _check_names(pres, letters, None if letters else data["v0"])
     if data.get("period"):
         if int(data["period"]) != len(letters):
-            raise ClannishError("period must equal the number of letters given")
+            raise InvalidInput("period must equal the number of letters given")
         w = Word("zper", pres.head(letters[0]), pres.sign(letters[0]), (), letters)
     else:
         v0 = data["v0"] if not letters else pres.head(letters[0])
@@ -140,13 +162,24 @@ def representation_to_json(rep, include_presentation=True):
 def representation_from_json(data, pres=None):
     if pres is None:
         if "presentation" not in data:
-            raise ClannishError("representation file carries no presentation")
+            raise InvalidInput("representation file carries no presentation")
         pres = presentation_from_json(data["presentation"])
     field = pres.field
+    declared = field_from_json(data["field"]) if "field" in data else field
+    if declared != field:
+        raise FieldMismatch(f"module over {declared}, presentation over {field}")
     dims = {v: int(d) for v, d in data["dims"].items()}
+    for v in dims:
+        _check_names(pres, (), v)
     mats = {}
     for name, spec in data.get("arrows", {}).items():
-        info = pres.arrows[name]
+        info = pres.arrows.get(name)
+        if info is None:
+            raise InvalidInput(f"the presentation has no arrow {name!r}")
+        if int(spec.get("sigma", info.sigma_k)) != info.sigma_k:
+            raise PresentationMismatch(
+                f"arrow {name!r} has sigma {spec['sigma']} in the module, {info.sigma_k} in the presentation"
+            )
         rows = [[element_from_json(field, x) for x in row] for row in spec["matrix"]]
         mats[name] = Matrix(field, rows, dims.get(info.source, 0), dims.get(info.target, 0))
     labels = None
@@ -171,6 +204,7 @@ def word_from_compact(pres, text):
     text = text.strip()
     if text.startswith("e:"):
         _, v0, sign = text.split(":")
+        _check_names(pres, (), v0)
         return Word("finite", v0, 1 if sign == "+" else -1, ())
     periodic = text.startswith("(") and text.endswith(")")
     if periodic:
@@ -185,6 +219,7 @@ def word_from_compact(pres, text):
         else:
             letters.append(Letter("d", tok))
     letters = tuple(letters)
+    _check_names(pres, letters)
     if periodic:
         w = Word("zper", pres.head(letters[0]), pres.sign(letters[0]), (), letters)
     else:
@@ -196,8 +231,7 @@ def parse_word_argument(pres, text):
     """Accept a compact spelling, inline JSON, or @path-to-JSON."""
     text = text.strip()
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return word_from_json(pres, json.load(fh))
+        return word_from_json(pres, read_json(text[1:]))
     if text.startswith("{"):
         return word_from_json(pres, json.loads(text))
     return word_from_compact(pres, text)

@@ -198,9 +198,6 @@ class WalkQuiver:
     arrows: tuple
     vertex_map: dict
 
-    def arrow_from(self, i):
-        return [a for a in self.arrows if a[0] == i]
-
 
 def quiver_of_walk(pres, walk, window=None):
     """The quiver Q_C with f_C, for finite walks or a window of indices."""

@@ -34,21 +34,10 @@ class Word:
     letters: tuple = ()  # finite: all letters; right: the prefix; zper: unused
     period: tuple = ()  # right: repeating block; zper: block w_1..w_m
 
-    @property
-    def is_finite(self):
-        return self.shape == "finite"
-
-    @property
-    def is_periodic(self):
-        return self.shape == "zper"
-
     def length(self):
         if self.shape != "finite":
             return None
         return len(self.letters)
-
-    def period_length(self):
-        return len(self.period)
 
     def letter_at(self, i):
         """w_i, or None when i is outside the index set."""
@@ -86,13 +75,6 @@ def finite_word(pres, v0, eps, letters, check=True):
 def periodic_word(pres, block, check=True):
     block = tuple(block)
     w = Word("zper", pres.head(block[0]), pres.sign(block[0]), (), block)
-    if check:
-        validate_word(pres, w)
-    return w
-
-
-def right_word(pres, v0, eps, prefix, block, check=True):
-    w = Word("right", v0, eps, tuple(prefix), tuple(block))
     if check:
         validate_word(pres, w)
     return w
@@ -431,14 +413,6 @@ def word_key(pres, w):
 def canonical_string_word(pres, w):
     wi = invert_word(pres, w)
     return min(w, wi, key=lambda x: word_key(pres, x))
-
-
-def is_string(pres, w):
-    return (
-        w.shape == "finite"
-        and is_end_admissible(pres, w)
-        and is_relation_admissible(pres, w)
-    )
 
 
 def _first_letters(pres, v0, eps):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from clannish.examples import (
     alternating_group_quotient,
@@ -7,6 +8,11 @@ from clannish.examples import (
     one_loop_pair,
 )
 from clannish.fields import make_field
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic, and keep to a few seconds in all.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "clannish.cli"]
 
 
@@ -77,14 +79,6 @@ def test_build_fdim_decompose_roundtrip(tmp_path):
     assert check["agree"] and check["complete"]
 
 
-def test_decompose_jobs_matches_serial(tmp_path):
-    module = tmp_path / "m.json"
-    run_cli("build", "example:E1", "--word", "s*.a.s*", "-o", str(module))
-    serial = run_cli("decompose", str(module)).stdout
-    parallel = run_cli("decompose", str(module), "--jobs", "2").stdout
-    assert json.loads(serial) == json.loads(parallel)
-
-
 def test_decompose_five_dimensional_sample(tmp_path):
     import clannish.serialize as serialize
     from clannish.examples import module_catalog, one_loop_pair
@@ -112,3 +106,58 @@ def test_band_build_with_param(tmp_path):
     assert out["dim"] == 2
     dec = json.loads(run_cli("decompose", str(module)).stdout)
     assert dec["complete"] and dec["checksum"] == 2
+
+
+def _e1_module():
+    """The E1 string module s*.a.s* as JSON, presentation embedded."""
+    import clannish.serialize as serialize
+    from clannish.examples import module_catalog, one_loop_pair
+
+    cat = {repr(d.word): rep for d, _, rep in module_catalog(one_loop_pair(), 3, 2)}
+    return serialize.representation_to_json(cat["s*as*"])
+
+
+def _a_squared_nonzero(module):
+    n = module["dims"]["1"]
+    module["arrows"]["a"]["matrix"] = [
+        [[1, 0] if i == j else [0, 0] for j in range(n)] for i in range(n)
+    ]
+
+
+BAD_INPUTS = {
+    "unknown example": (["validate", "example:NOPE"], None, "InvalidInput"),
+    "missing file": (["validate", "{missing}"], None, "InvalidInput"),
+    "malformed JSON": (["decompose", "{module}"], "{bad", "InvalidInput"),
+    "unknown letter": (["build", "example:E1", "--word", "zz"], None, "InvalidInput"),
+    "relation a.a broken": (["decompose", "{module}"], _a_squared_nonzero, "InvalidInput"),
+    "sigma differs": (
+        ["decompose", "{module}"],
+        lambda m: m["arrows"]["a"].update(sigma=0),
+        "PresentationMismatch",
+    ),
+    "field differs": (
+        ["decompose", "{module}"],
+        lambda m: m.update(field={"p": 3, "n": 1}),
+        "FieldMismatch",
+    ),
+    "unknown arrow": (
+        ["oracle-check", "{module}"],
+        lambda m: m["arrows"].update(zz=m["arrows"]["a"]),
+        "InvalidInput",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, content, error", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_gives_typed_error(tmp_path, argv, content, error):
+    module = tmp_path / "m.json"
+    if isinstance(content, str):
+        module.write_text(content)
+    elif content is not None:
+        data = _e1_module()
+        content(data)
+        module.write_text(json.dumps(data))
+    argv = [a.format(module=module, missing=tmp_path / "missing.json") for a in argv]
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == error

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from clannish.errors import TooLarge
+from clannish import homalg
+from clannish.errors import OracleFailure, SpaceMismatch, TooLarge
 from clannish.examples import module_catalog
 from clannish.filtration import f_dim, multiplicities
 from clannish.homalg import (
     EndAlgebra,
+    _find_splitting_idempotent,
     _idempotent_exhaustive,
     _quotient_is_field,
     are_isomorphic,
@@ -225,6 +227,35 @@ def test_are_isomorphic_examples(E1):
     assert not are_isomorphic(a, b)
     assert are_isomorphic(direct_sum(a, b), direct_sum(b, a))
     assert not are_isomorphic(direct_sum(a, a), direct_sum(a, b))
+
+
+def test_are_isomorphic_raises_when_search_fails_above_brute_limit(E1):
+    cat = {repr(d.word): rep for d, mod, rep in _pool(E1)}
+    a, b = cat["s*"], cat["s*as*"]
+    twice = direct_sum(b, b)  # prime dimension 16
+    assert are_isomorphic(twice, direct_sum(b, b))  # the random search decides
+    other = direct_sum(direct_sum(b, a), direct_sum(direct_sum(a, a), a))
+    with pytest.raises(TooLarge):
+        are_isomorphic(twice, other)
+
+
+def test_oracle_failures_are_typed(E1, monkeypatch):
+    cat = {repr(d.word): rep for d, mod, rep in _pool(E1)}
+    a, b = cat["s*"], cat["s*as*"]
+    alg = EndAlgebra(b)
+    outside = homalg._identity(alg.amb)
+    outside[0][1] = 1
+    with pytest.raises(SpaceMismatch):
+        alg.coords(outside)
+    # End of an indecomposable module is local: no idempotent splits it
+    with pytest.raises(OracleFailure):
+        _find_splitting_idempotent(b, alg)
+    # an idempotent that cuts off nothing is caught, not recursed on
+    monkeypatch.setattr(
+        homalg, "_find_splitting_idempotent", lambda rep, alg: homalg._identity(alg.amb)
+    )
+    with pytest.raises(OracleFailure):
+        brute_decompose(direct_sum(a, b))
 
 
 def test_inequivalent_catalog_modules_nonisomorphic(GP2):
