@@ -80,10 +80,14 @@ def cmd_validate(args):
 
 
 def _element_arg(field, text):
+    """A field element given as an integer (base-p digits) or a JSON list of
+    coefficients; anything else raises InvalidInput."""
     text = text.strip()
-    if text.startswith("["):
-        return field.el(json.loads(text))
-    return field.el(int(text))
+    try:
+        data = json.loads(text) if text.startswith("[") else int(text)
+    except ValueError as exc:
+        raise InvalidInput(f"{text!r} is not a field element: {exc}") from exc
+    return serialize.element_from_json(field, data)
 
 
 def cmd_quadratic(args):

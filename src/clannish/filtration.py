@@ -21,32 +21,9 @@ from .walks import (
 from . import words as words_mod
 
 
-def _apply_walk_letters(rep, letters, space):
-    """Apply the chain of letter relations right to left to a subspace."""
-    for wl in reversed(letters):
-        space = walk_letter_relation(rep, wl).image(space)
-    return space
-
-
-def _walk_relation(rep, letters):
-    """The composite relation of a finite stretch of walk letters."""
-    if not letters:
-        raise SpaceMismatch("empty composite needs an explicit space")
-    rel = walk_letter_relation(rep, letters[-1])
-    for wl in reversed(letters[:-1]):
-        rel = walk_letter_relation(rep, wl).compose(rel)
-    return rel
-
-
-def _extension_arrows(pres, walk):
-    """(a, b): arrows extending the walk by a^-1 (for +) or b (for -), if any."""
-    word = walk_star(pres, walk)
-    n = len(walk.letters)
-    v = walk_vertex(pres, walk, n)
-    if n:
-        need = -pres.sign(word.letter_at(n).inverse())
-    else:
-        need = word.eps
+def _extension_arrows(pres, v, need):
+    """(a, b): arrows extending a walk ending at v with sign need by a^-1
+    (for +) or b (for -), if any."""
     plus = minus = None
     for name in pres.ordinary_arrows():
         if pres.arrows[name].source == v and pres.sign(Letter("i", name)) == need:
@@ -56,40 +33,79 @@ def _extension_arrows(pres, walk):
     return plus, minus
 
 
+def _finite_start(rep, v, need):
+    """(D^+, D^-) of the trivial walk at v with sign need."""
+    p = rep.field.p
+    plus_arrow, minus_arrow = _extension_arrows(rep.pres, v, need)
+    if plus_arrow is not None:
+        target = rep.pres.arrows[plus_arrow].target
+        plus = rel_mod.arrow_relation(rep, plus_arrow).preimage(
+            Subspace.zero(p, rep.prime_dim(target))
+        )
+    else:
+        plus = Subspace.full(p, rep.prime_dim(v))
+    if minus_arrow is not None:
+        source = rep.pres.arrows[minus_arrow].source
+        minus = rel_mod.arrow_relation(rep, minus_arrow).image(
+            Subspace.full(p, rep.prime_dim(source))
+        )
+    else:
+        minus = Subspace.zero(p, rep.prime_dim(v))
+    return plus, minus
+
+
+def _walk_relation(rep, letters):
+    """R(l1...lm) = R(l1) after R(l2...lm), memoised per module by suffix."""
+    if len(letters) == 1:
+        return walk_letter_relation(rep, letters[0])
+    cache = rep._filtration_cache
+    key = ("R", letters)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = walk_letter_relation(rep, letters[0]).compose(
+            _walk_relation(rep, letters[1:])
+        )
+    return hit
+
+
+def _suffix_plus_minus(rep, letters, end):
+    """D^+ and D^- of l1...ln C' as l1(D(l2...ln C')), memoised per module by suffix.
+
+    ``end`` names what follows the letters: ("finite", v, need) for the
+    trivial walk at v, or ("right", period) for the periodic tail.
+    """
+    cache = rep._filtration_cache
+    key = ("D", letters, end)
+    hit = cache.get(key)
+    if hit is None:
+        if letters:
+            rel = walk_letter_relation(rep, letters[0])
+            plus, minus = _suffix_plus_minus(rep, letters[1:], end)
+            hit = (rel.image(plus), rel.image(minus))
+        elif end[0] == "finite":
+            hit = _finite_start(rep, end[1], end[2])
+        else:
+            lower, upper = _walk_relation(rep, end[1]).stable_pair()
+            hit = (upper, lower)
+        cache[key] = hit
+    return hit
+
+
 def walk_plus_minus(rep, walk):
     """(D^+(M), D^-(M)) for a walk whose word lies in some H(l, eps)."""
     pres = rep.pres
-    if not words_mod.is_right_end_admissible(pres, walk_star(pres, walk)):
+    word = walk_star(pres, walk)
+    if not words_mod.is_right_end_admissible(pres, word):
         raise NotRightEndAdmissible("walk filtration needs a right-end-admissible word")
-    p, n = rep.field.p, rep.field.n
     if walk.shape == "finite":
-        letters = walk.letters
-        tail_vertex = walk_vertex(pres, walk, len(letters))
-        plus_arrow, minus_arrow = _extension_arrows(pres, walk)
-        if plus_arrow is not None:
-            start_plus = rel_mod.arrow_relation(rep, plus_arrow).preimage(
-                Subspace.zero(p, rep.prime_dim(pres.arrows[plus_arrow].target))
-            )
-        else:
-            start_plus = Subspace.full(p, rep.prime_dim(tail_vertex))
-        if minus_arrow is not None:
-            start_minus = rel_mod.arrow_relation(rep, minus_arrow).image(
-                Subspace.full(p, rep.prime_dim(pres.arrows[minus_arrow].source))
-            )
-        else:
-            start_minus = Subspace.zero(p, rep.prime_dim(tail_vertex))
-        return (
-            _apply_walk_letters(rep, letters, start_plus),
-            _apply_walk_letters(rep, letters, start_minus),
-        )
-    if walk.shape != "right":
+        n = len(walk.letters)
+        need = -pres.sign(word.letter_at(n).inverse()) if n else word.eps
+        end = ("finite", walk_vertex(pres, walk, n), need)
+    elif walk.shape == "right":
+        end = ("right", walk.period)
+    else:
         raise NotRightEndAdmissible("two-sided walks have no one-sided filtration")
-    period_rel = _walk_relation(rep, walk.period)
-    lower, upper = period_rel.stable_pair()
-    return (
-        _apply_walk_letters(rep, walk.letters, upper),
-        _apply_walk_letters(rep, walk.letters, lower),
-    )
+    return _suffix_plus_minus(rep, walk.letters, end)
 
 
 @dataclass

@@ -283,13 +283,22 @@ class Subspace:
 
     @classmethod
     def from_packed(cls, ambient, ints):
-        obj = cls.__new__(cls)
-        obj.p = 2
-        obj.ambient = ambient
         basis = _rref2_ints(ints)
-        obj.pivots = tuple(sorted(basis))
-        obj._ints = tuple(basis[q] for q in obj.pivots)
-        obj._rows = None
+        pivots = sorted(basis)
+        return cls._reduced(2, ambient, pivots, [basis[q] for q in pivots])
+
+    @classmethod
+    def _reduced(cls, p, ambient, pivots, basis):
+        """Wrap a basis already in canonical reduced echelon form, without
+        eliminating again: packed ints for p = 2, tuple rows otherwise."""
+        obj = cls.__new__(cls)
+        obj.p = p
+        obj.ambient = ambient
+        obj.pivots = tuple(pivots)
+        if p == 2:
+            obj._ints, obj._rows = tuple(basis), None
+        else:
+            obj._rows, obj._ints = tuple(basis), None
         return obj
 
     @property
@@ -360,17 +369,12 @@ class Subspace:
         # intersection in their right half.
         d = self.ambient
         if self.p == 2:
-            mask = (1 << d) - 1
             stacked = [v | (v << d) for v in self.packed()]
             stacked += list(other.packed())
-            basis = _rref2_ints(stacked)
-            inter = [v >> d for v in basis.values() if not v & mask]
-            return Subspace.from_packed(d, inter)
-        stacked = [list(r) + list(r) for r in self.rows]
-        stacked += [list(r) + [0] * d for r in other.rows]
-        _, rows = rref(stacked, self.p)
-        inter = [r[d:] for r in rows if not any(r[:d])]
-        return Subspace(self.p, d, inter)
+        else:
+            stacked = [list(r) + list(r) for r in self.rows]
+            stacked += [list(r) + [0] * d for r in other.rows]
+        return eliminate_block(self.p, stacked, d, d)
 
     def _compat(self, other):
         if self.p != other.p or self.ambient != other.ambient:
@@ -378,6 +382,27 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}/{self.ambient})"
+
+
+def eliminate_block(p, rows, width, ambient):
+    """The subspace of F_p^ambient spanned by the tails (columns ``width``
+    on) of the combinations of ``rows`` that vanish on the first ``width``
+    columns.  Rows are packed ints for p = 2, sequences otherwise.
+
+    The eliminated rows whose pivot lies past the block are already the
+    canonical reduced basis of the answer, so no second elimination runs.
+    """
+    if p == 2:
+        basis = _rref2_ints(rows)
+        tail = sorted(q for q in basis if q >= width)
+        return Subspace._reduced(
+            2, ambient, [q - width for q in tail], [basis[q] >> width for q in tail]
+        )
+    pivots, red = rref(rows, p)
+    tail = [i for i, q in enumerate(pivots) if q >= width]
+    return Subspace._reduced(
+        p, ambient, [pivots[i] - width for i in tail], [red[i][width:] for i in tail]
+    )
 
 
 def mat_vec(rows, v, p):

@@ -236,6 +236,8 @@ def validate(field, vertices, arrows, special, zero_relations):
     for r in relations:
         if len(r) < 2:
             raise ClannishViolation("relations", r, "zero relations have length >= 2")
+        if any(x not in arrow_map for x in r):
+            raise ClannishViolation("relations", r, f"relation {r} names an unknown arrow")
         for x, y in zip(r, r[1:]):
             if arrow_map[x].source != arrow_map[y].target:
                 raise ClannishViolation("relations", r, f"relation {r} is not a path")
@@ -467,6 +469,8 @@ def algebra_dimension(pres):
     """K-dimension of the algebra, or None when infinite-dimensional."""
     bound = len(pres.arrow_names) * len(pres.vertices) * 2 + pres.max_relation_length()
     paths = enumerate_admissible_paths(pres, bound)
-    if any(len(names) == bound for _, names in paths):
+    # A nontrivial path as long as the bound means paths never die out;
+    # without arrows the bound is 0 and only the trivial paths exist.
+    if any(names and len(names) == bound for _, names in paths):
         return None
     return len(paths)

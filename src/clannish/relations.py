@@ -14,12 +14,11 @@ from .errors import SpaceMismatch
 from .fields import Aut
 from .linalg import (
     Subspace,
-    _rref2_ints as _rref2_ints_import,
+    eliminate_block,
     is_k_stable,
     k_dim,
     mat_vec,
     prime_matrix,
-    rref,
     scalar_block_matrix,
 )
 
@@ -97,20 +96,15 @@ class SemilinearRelation:
         # that rref rows with zero V-part span all such row combinations.
         if self.p == 2:
             umask, vmask = (1 << up) - 1, (1 << vp) - 1
-            ints = [((r >> up) & vmask) | ((r & umask) << vp) for r in other.space.packed()]
-            ints += [(r & vmask) | ((r >> vp) << (vp + up)) for r in self.space.packed()]
-            basis = _rref2_ints_import(ints)
-            out = [v >> vp for v in basis.values() if not v & vmask]
-            space = Subspace.from_packed(up + wp, out)
+            combined = [((r >> up) & vmask) | ((r & umask) << vp) for r in other.space.packed()]
+            combined += [(r & vmask) | ((r >> vp) << (vp + up)) for r in self.space.packed()]
         else:
             combined = []
             for r in other.space.rows:  # (u, v) -> (v, u, 0)
                 combined.append(list(r[up:]) + list(r[:up]) + [0] * wp)
             for r in self.space.rows:  # (v, w) -> (-v, 0, w)
                 combined.append([(-x) % self.p for x in r[:vp]] + [0] * up + list(r[vp:]))
-            _, red = rref(combined, self.p)
-            out = [r[vp:] for r in red if not any(r[:vp])]
-            space = Subspace(self.p, up + wp, out)
+        space = eliminate_block(self.p, combined, vp, up + wp)
         return SemilinearRelation(
             self.field, self.sigma * other.sigma, other.src, self.tgt, space
         )
@@ -121,16 +115,11 @@ class SemilinearRelation:
         if sub.ambient != sp:
             raise SpaceMismatch("subspace lives in the wrong source space")
         if self.p == 2:
-            smask = (1 << sp) - 1
-            ints = list(sub.packed()) + list(self.space.packed())
-            basis = _rref2_ints_import(ints)
-            out = [v >> sp for v in basis.values() if not v & smask]
-            return Subspace.from_packed(tp, out)
-        rows = [list(r) + [0] * tp for r in sub.rows]
-        rows += [list(r) for r in self.space.rows]
-        _, red = rref(rows, self.p)
-        out = [r[sp:] for r in red if not any(r[:sp])]
-        return Subspace(self.p, tp, out)
+            rows = list(sub.packed()) + list(self.space.packed())
+        else:
+            rows = [list(r) + [0] * tp for r in sub.rows]
+            rows += [list(r) for r in self.space.rows]
+        return eliminate_block(self.p, rows, sp, tp)
 
     def preimage(self, sub):
         return self.inverse().image(sub)
@@ -182,9 +171,7 @@ def _iterate(rel, start):
 
 def arrow_relation(rep, name, inverse=False):
     """The action of an arrow (or its inverse) on a representation, cached."""
-    cache = getattr(rep, "_relation_cache", None)
-    if cache is None:
-        cache = rep._relation_cache = {}
+    cache = rep._relation_cache
     key = (name, inverse)
     hit = cache.get(key)
     if hit is None:

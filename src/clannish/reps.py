@@ -3,6 +3,8 @@ arrow, acting through that arrow's automorphism under the row convention."""
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import DimensionMismatch
 from .fields import Aut
 from .linalg import Matrix, SemilinearMap
@@ -18,17 +20,22 @@ class Representation:
 
     def __init__(self, pres, dims, mats, labels=None):
         self.pres = pres
-        self.dims = {v: int(dims.get(v, 0)) for v in pres.vertices}
-        self.mats = {}
+        dims = {v: int(dims.get(v, 0)) for v in pres.vertices}
+        checked = {}
         for name in pres.arrow_names:
             info = pres.arrows[name]
             m = mats.get(name)
             if m is None:
-                m = Matrix.zeros(pres.field, self.dims[info.source], self.dims[info.target])
-            if (m.nrows, m.ncols) != (self.dims[info.source], self.dims[info.target]):
+                m = Matrix.zeros(pres.field, dims[info.source], dims[info.target])
+            if (m.nrows, m.ncols) != (dims[info.source], dims[info.target]):
                 raise DimensionMismatch(f"matrix for {name!r} has the wrong shape")
-            self.mats[name] = m
+            checked[name] = m
+        # Read-only, so that the per-module caches below cannot go stale.
+        self.dims = MappingProxyType(dims)
+        self.mats = MappingProxyType(checked)
         self.labels = labels
+        self._relation_cache = {}  # relations.arrow_relation
+        self._filtration_cache = {}  # filtration: D^+, D^- and period composites by walk suffix
 
     @property
     def field(self):
@@ -74,4 +81,4 @@ class Representation:
         )
 
     def __repr__(self):
-        return f"Representation(dims={self.dims})"
+        return f"Representation(dims={dict(self.dims)})"

@@ -34,14 +34,49 @@ def _check_names(pres, letters, v0=None):
         raise InvalidInput(f"the presentation has no vertex {v0!r}")
 
 
+_REQUIRED = object()
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _key(data, key, kind, default=_REQUIRED):
+    """data[key], checked to be of the JSON type ``kind`` (a type or a tuple
+    of types).  A missing or wrongly typed key raises InvalidInput naming it;
+    an optional key may be absent or null."""
+    if not isinstance(data, dict):
+        raise InvalidInput(f"expected an object holding {key!r}, got {type(data).__name__}")
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidInput(f"missing key {key!r}")
+        return default
+    _check_kind(value, kind, f"key {key!r}")
+    return value
+
+
+def _check_kind(value, kind, what):
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        names = " or ".join(_KIND_NAMES[k] for k in kinds)
+        raise InvalidInput(f"{what} must be {names}, not {type(value).__name__}")
+
+
+def _items(values, kind, what):
+    """A JSON list whose entries are each checked to be of type ``kind``."""
+    _check_kind(values, list, what)
+    for value in values:
+        _check_kind(value, kind, f"every entry of {what}")
+    return values
+
+
 def element_to_json(x):
     return list(x.coeffs)
 
 
 def element_from_json(field, data):
+    _check_kind(data, (int, list), "a field element")
     if isinstance(data, int):
         return field.el(data)
-    return field.el(list(data))
+    return field.el(_items(data, int, "a field element"))
 
 
 def field_to_json(field):
@@ -49,7 +84,10 @@ def field_to_json(field):
 
 
 def field_from_json(data):
-    return make_field(int(data["p"]), int(data["n"]), data.get("modulus"))
+    modulus = _key(data, "modulus", list, None)
+    if modulus is not None:
+        _items(modulus, int, "key 'modulus'")
+    return make_field(_key(data, "p", int), _key(data, "n", int), modulus)
 
 
 def presentation_to_json(pres):
@@ -78,20 +116,28 @@ def presentation_to_json(pres):
 
 
 def presentation_from_json(data):
-    field = field_from_json(data["field"])
+    """A presentation from its JSON encoding; a missing or wrongly typed key
+    raises InvalidInput naming it."""
+    field = field_from_json(_key(data, "field", dict))
+    vertices = _items(_key(data, "vertices", list), str, "key 'vertices'")
     arrows = [
-        ArrowInfo(a["name"], a["from"], a["to"], int(a.get("sigma", 0)))
-        for a in data["arrows"]
+        ArrowInfo(
+            _key(a, "name", str), _key(a, "from", str), _key(a, "to", str), _key(a, "sigma", int, 0)
+        )
+        for a in _key(data, "arrows", list)
     ]
     special = {
-        s["loop"]: (
-            element_from_json(field, s["beta"]),
-            element_from_json(field, s["gamma"]),
+        _key(s, "loop", str): (
+            element_from_json(field, _key(s, "beta", (int, list))),
+            element_from_json(field, _key(s, "gamma", (int, list))),
         )
-        for s in data.get("special", [])
+        for s in _key(data, "special", list, [])
     }
-    relations = [tuple(r) for r in data.get("zero_relations", [])]
-    return validate(field, tuple(data["vertices"]), arrows, special, relations)
+    relations = [
+        tuple(_items(r, str, "a zero relation"))
+        for r in _items(_key(data, "zero_relations", list, []), list, "key 'zero_relations'")
+    ]
+    return validate(field, tuple(vertices), arrows, special, relations)
 
 
 def letter_to_json(letter):
@@ -160,31 +206,40 @@ def representation_to_json(rep, include_presentation=True):
 
 
 def representation_from_json(data, pres=None):
+    """A module from its JSON encoding; a missing or wrongly typed key raises
+    InvalidInput naming it."""
     if pres is None:
-        if "presentation" not in data:
+        if not isinstance(data, dict) or "presentation" not in data:
             raise InvalidInput("representation file carries no presentation")
-        pres = presentation_from_json(data["presentation"])
+        pres = presentation_from_json(_key(data, "presentation", dict))
     field = pres.field
-    declared = field_from_json(data["field"]) if "field" in data else field
+    declared = _key(data, "field", dict, None)
+    declared = field if declared is None else field_from_json(declared)
     if declared != field:
         raise FieldMismatch(f"module over {declared}, presentation over {field}")
-    dims = {v: int(d) for v, d in data["dims"].items()}
-    for v in dims:
+    dims = _key(data, "dims", dict)
+    for v, d in dims.items():
         _check_names(pres, (), v)
+        _check_kind(d, int, "every value of key 'dims'")
     mats = {}
-    for name, spec in data.get("arrows", {}).items():
+    for name, spec in _key(data, "arrows", dict, {}).items():
         info = pres.arrows.get(name)
         if info is None:
             raise InvalidInput(f"the presentation has no arrow {name!r}")
-        if int(spec.get("sigma", info.sigma_k)) != info.sigma_k:
+        sigma = _key(spec, "sigma", int, info.sigma_k)
+        if sigma != info.sigma_k:
             raise PresentationMismatch(
-                f"arrow {name!r} has sigma {spec['sigma']} in the module, {info.sigma_k} in the presentation"
+                f"arrow {name!r} has sigma {sigma} in the module, {info.sigma_k} in the presentation"
             )
-        rows = [[element_from_json(field, x) for x in row] for row in spec["matrix"]]
+        matrix = _items(_key(spec, "matrix", list), list, f"arrow {name!r} key 'matrix'")
+        rows = [[element_from_json(field, x) for x in row] for row in matrix]
         mats[name] = Matrix(field, rows, dims.get(info.source, 0), dims.get(info.target, 0))
-    labels = None
-    if "labels" in data:
-        labels = {v: [tuple(x) for x in lst] for v, lst in data["labels"].items()}
+    labels = _key(data, "labels", dict, None)
+    if labels is not None:
+        labels = {
+            v: [tuple(_items(x, int, "a label")) for x in _items(lst, list, "key 'labels'")]
+            for v, lst in labels.items()
+        }
     return Representation(pres, dims, mats, labels=labels)
 
 

@@ -108,6 +108,14 @@ def test_band_build_with_param(tmp_path):
     assert dec["complete"] and dec["checksum"] == 2
 
 
+def test_validate_arrowless_presentation(tmp_path):
+    pres = {"field": {"p": 2, "n": 1}, "vertices": ["1", "2"], "arrows": []}
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(pres))
+    out = json.loads(run_cli("validate", str(path)).stdout)
+    assert out["algebra_dimension"] == 2 and out["finite_dimensional"]
+
+
 def _e1_module():
     """The E1 string module s*.a.s* as JSON, presentation embedded."""
     import clannish.serialize as serialize
@@ -145,6 +153,27 @@ BAD_INPUTS = {
         lambda m: m["arrows"].update(zz=m["arrows"]["a"]),
         "InvalidInput",
     ),
+    "dims missing": (["decompose", "{module}"], lambda m: m.pop("dims"), "InvalidInput 'dims'"),
+    "arrows a list": (
+        ["decompose", "{module}"],
+        lambda m: m.update(arrows=list(m["arrows"].values())),
+        "InvalidInput 'arrows'",
+    ),
+    "matrix missing": (
+        ["decompose", "{module}"],
+        lambda m: m["arrows"]["a"].pop("matrix"),
+        "InvalidInput 'matrix'",
+    ),
+    "presentation vertices missing": (
+        ["decompose", "{module}"],
+        lambda m: m["presentation"].pop("vertices"),
+        "InvalidInput 'vertices'",
+    ),
+    "bad quadratic element": (
+        ["quadratic", "--p", "2", "--n", "1", "--beta", "x", "--gamma", "1"],
+        None,
+        "InvalidInput",
+    ),
 }
 
 
@@ -160,4 +189,7 @@ def test_bad_input_gives_typed_error(tmp_path, argv, content, error):
     argv = [a.format(module=module, missing=tmp_path / "missing.json") for a in argv]
     proc = run_cli(*argv, check=False)
     assert proc.returncode == 1, proc.stderr
-    assert json.loads(proc.stdout)["error"]["type"] == error
+    kind, _, named = error.partition(" ")  # a bad key must be named in the detail
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == kind and named in err["detail"]
+

@@ -148,6 +148,17 @@ def test_algebra_dimension(GP2, A4, E1):
     assert algebra_dimension(A4) is not None
 
 
+@pytest.mark.parametrize("vertices", [("1",), ("1", "2")])
+def test_arrowless_presentation_is_one_copy_of_k_per_vertex(F2, vertices):
+    pres = validate(F2, vertices, [], {}, [])
+    assert algebra_dimension(pres) == len(vertices)
+
+
+def test_relation_through_unknown_arrow_is_a_violation(F2):
+    with pytest.raises(ClannishViolation):
+        validate(F2, ("1",), [ArrowInfo("x", "1", "1", 0)], {}, [("x", "y")])
+
+
 def test_noncomposable_path_raises(A4):
     with pytest.raises(NonComposablePath):
         AlgebraElement.path(A4, ("a", "a"))  # a: 1->2 does not follow itself
