@@ -103,5 +103,9 @@ class InvalidInput(ClannishError):
     presentation it is read against."""
 
 
+class NotStabilized(ClannishError):
+    """An iteration that must reach a fixed point by a dimension count did not."""
+
+
 class OracleFailure(ClannishError):
     """The brute-force oracle ended without a decision."""

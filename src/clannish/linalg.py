@@ -5,6 +5,13 @@ All maps use the row convention: a matrix M sends a row vector v to v @ M,
 and a semilinear map (sigma, M) sends v to sigma(v) @ M.  Subspace
 computations are done over the prime subfield, where semilinear maps become
 honest linear maps; K-dimensions are recovered after a K-stability check.
+
+Prime-field rows have one packed layout for every p: a row of F_p^d is one
+int with coordinate j in slot j, ``slot_bits(p)`` bits wide (1 bit for p = 2;
+for odd p the least multiple of 8 with p*p < 2**bits, so bytes for
+p <= 13).  One Gauss-Jordan kernel, ``_rref_ints``, eliminates them: XOR for
+p = 2, and for odd p multiply-adds that reduce a row mod p only before a slot
+could carry.
 """
 
 from __future__ import annotations
@@ -195,24 +202,55 @@ class SemilinearMap:
 
 
 # ---------------------------------------------------------------------------
-# prime-field vectors and subspaces (plain ints mod p)
+# prime-field vectors and subspaces, packed one int per row
 
 
-def _pack2(row):
+def slot_bits(p):
+    """Bits per coordinate in a packed F_p row: 1 for p = 2, else the least
+    multiple of 8 with p*p < 2**bits (8 for p <= 13, 16 for p <= 251)."""
+    if p == 2:
+        return 1
+    return 8 * (((p * p).bit_length() + 7) // 8)
+
+
+# x -> x mod p on bytes, for the primes with byte-wide slots
+_BYTE_MOD = {p: bytes(b % p for b in range(256)) for p in (3, 5, 7, 11, 13)}
+
+
+def _pack(row, p, ambient):
+    """A vector of F_p^ambient as one int: coordinate j, reduced, in slot j."""
+    if len(row) != ambient:
+        raise DimensionMismatch(f"vector of length {len(row)} in F_{p}^{ambient}")
+    bits = slot_bits(p)
     v = 0
     for j, x in enumerate(row):
-        if x & 1:
-            v |= 1 << j
+        v |= (x % p) << (bits * j)
     return v
 
 
-def _unpack2(v, width):
-    return tuple((v >> j) & 1 for j in range(width))
+def _unpack(v, p, ambient):
+    bits = slot_bits(p)
+    mask = (1 << bits) - 1
+    return tuple((v >> (bits * j)) & mask for j in range(ambient))
 
 
-def _rref2_ints(vals):
+def _reduce(v, p, bits):
+    """Every slot of a packed row reduced mod p."""
+    if bits == 8:
+        size = (v.bit_length() + 7) >> 3
+        return int.from_bytes(v.to_bytes(size, "little").translate(_BYTE_MOD[p]), "little")
+    mask = (1 << bits) - 1
+    out = shift = 0
+    while v:
+        out |= ((v & mask) % p) << shift
+        v >>= bits
+        shift += bits
+    return out
+
+
+def _rref2_ints(vals, seed=()):
     """Reduced echelon basis over GF(2) on bit-packed rows: pivot -> row."""
-    basis = {}
+    basis = dict(seed)
     for v in vals:
         for piv, row in basis.items():
             if (v >> piv) & 1:
@@ -227,89 +265,123 @@ def _rref2_ints(vals):
     return basis
 
 
+def _rref_ints(vals, p, seed=()):
+    """Canonical reduced echelon basis of packed F_p rows: pivot -> row.
+
+    The rows extend ``seed``, a reduced echelon basis given as (pivot, row)
+    pairs.  Input slots may hold values up to (p - 1)**2; output rows are
+    reduced.  Over odd p a row is cleared at a pivot by one multiply-add,
+    row += (p - f) * pivot_row, with no reduction.  Every row carries a bound
+    on its slots, and a row is reduced before a step that could carry a slot
+    past 2**bits - 1.  A step between reduced rows stays at or below
+    (p - 1) + (p - 1)**2 < p*p < 2**bits, the no-carry bound that fixes
+    ``slot_bits``.  Incoming rows are reduced when they become pivot rows,
+    basis rows at the end.
+    """
+    if p == 2:
+        return _rref2_ints(vals, seed)
+    bits = slot_bits(p)
+    mask = (1 << bits) - 1
+    basis = dict(seed)
+    bound = dict.fromkeys(basis, p - 1)
+    for v in vals:
+        vb = (p - 1) ** 2
+        for q, row in basis.items():
+            f = ((v >> (bits * q)) & mask) % p
+            if f:
+                g = p - f
+                rb = bound[q]
+                if vb + g * rb > mask:
+                    v, vb = _reduce(v, p, bits), p - 1
+                    if vb + g * rb > mask:
+                        row = basis[q] = _reduce(row, p, bits)
+                        rb = bound[q] = p - 1
+                v += g * row
+                vb += g * rb
+        if vb >= p:
+            v = _reduce(v, p, bits)
+        if not v:
+            continue
+        piv = ((v & -v).bit_length() - 1) // bits
+        lead = (v >> (bits * piv)) & mask
+        if lead != 1:
+            v = _reduce(v * pow(lead, p - 2, p), p, bits)
+        for q, row in basis.items():
+            f = ((row >> (bits * piv)) & mask) % p
+            if f:
+                g = p - f
+                rb = bound[q]
+                if rb + g * (p - 1) > mask:
+                    row, rb = _reduce(row, p, bits), p - 1
+                basis[q] = row + g * v
+                bound[q] = rb + g * (p - 1)
+        basis[piv] = v
+        bound[piv] = p - 1
+    for q, rb in bound.items():
+        if rb >= p:
+            basis[q] = _reduce(basis[q], p, bits)
+    return basis
+
+
 def rref(rows, p):
     """Canonical reduced row echelon form; returns (pivot columns, rows)."""
-    rows = [list(r) for r in rows if any(r)]
+    rows = list(rows)
     if not rows:
         return [], []
     width = len(rows[0])
-    if p == 2:
-        basis = _rref2_ints(_pack2(r) for r in rows)
-        pivots = sorted(basis)
-        return pivots, [_unpack2(basis[piv], width) for piv in pivots]
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    rows = [tuple(x % p for x in row) for row in rows[:r]]
-    return pivots, rows
+    basis = _rref_ints([_pack(r, p, width) for r in rows], p)
+    pivots = sorted(basis)
+    return pivots, [_unpack(basis[q], p, width) for q in pivots]
 
 
 class Subspace:
-    """A subspace of F_p^dim in canonical reduced echelon form.
+    """A subspace of F_p^ambient in canonical reduced echelon form.
 
-    For p = 2 the rows live as bit-packed integers (bit j = coordinate j)
-    and every operation stays packed; tuple rows materialize on demand.
+    Every row lives as one int, coordinate j in slot j of ``slot_bits(p)``
+    bits: single bits for p = 2, bytes for odd p <= 13, wider slots beyond.
+    Stored rows are reduced (every slot below p), so the packed basis is
+    canonical and ``==``/``hash`` compare it directly.  Eliminations add
+    unreduced multiples and reduce only before a slot could carry (p*p <
+    2**bits; see ``_rref_ints``).  Tuple rows are unpacked on demand.
     """
 
     __slots__ = ("p", "ambient", "pivots", "_ints", "_rows")
 
     def __init__(self, p, ambient, vectors=()):
+        basis = _rref_ints([_pack(v, p, ambient) for v in vectors], p)
         self.p = p
         self.ambient = ambient
-        if p == 2:
-            basis = _rref2_ints(_pack2(r) for r in vectors)
-            self.pivots = tuple(sorted(basis))
-            self._ints = tuple(basis[q] for q in self.pivots)
-            self._rows = None
-        else:
-            pivots, rows = rref(vectors, p)
-            self.pivots = tuple(pivots)
-            self._rows = tuple(rows)
-            self._ints = None
+        self.pivots = tuple(sorted(basis))
+        self._ints = tuple(basis[q] for q in self.pivots)
+        self._rows = None
 
     @classmethod
-    def from_packed(cls, ambient, ints):
-        basis = _rref2_ints(ints)
+    def from_packed(cls, p, ambient, ints, seed=()):
+        """The span of packed rows and of a reduced basis ``seed`` given as
+        (pivot, row) pairs."""
+        basis = _rref_ints(ints, p, seed)
         pivots = sorted(basis)
-        return cls._reduced(2, ambient, pivots, [basis[q] for q in pivots])
+        return cls._reduced(p, ambient, pivots, [basis[q] for q in pivots])
 
     @classmethod
-    def _reduced(cls, p, ambient, pivots, basis):
-        """Wrap a basis already in canonical reduced echelon form, without
-        eliminating again: packed ints for p = 2, tuple rows otherwise."""
+    def _reduced(cls, p, ambient, pivots, ints):
+        """Wrap a packed basis already in canonical reduced echelon form,
+        without eliminating again."""
         obj = cls.__new__(cls)
         obj.p = p
         obj.ambient = ambient
         obj.pivots = tuple(pivots)
-        if p == 2:
-            obj._ints, obj._rows = tuple(basis), None
-        else:
-            obj._rows, obj._ints = tuple(basis), None
+        obj._ints = tuple(ints)
+        obj._rows = None
         return obj
 
     @property
     def rows(self):
         if self._rows is None:
-            self._rows = tuple(_unpack2(v, self.ambient) for v in self._ints)
+            self._rows = tuple(_unpack(v, self.p, self.ambient) for v in self._ints)
         return self._rows
 
     def packed(self):
-        if self._ints is None:
-            self._ints = tuple(_pack2(r) for r in self._rows)
         return self._ints
 
     @classmethod
@@ -318,63 +390,48 @@ class Subspace:
 
     @classmethod
     def full(cls, p, ambient):
-        if p == 2:
-            return cls.from_packed(ambient, [1 << i for i in range(ambient)])
-        return cls(p, ambient, [[1 if i == j else 0 for j in range(ambient)] for i in range(ambient)])
+        bits = slot_bits(p)
+        return cls._reduced(p, ambient, range(ambient), [1 << (bits * i) for i in range(ambient)])
 
     @property
     def dim(self):
         return len(self.pivots)
 
     def contains(self, v):
-        if self.p == 2:
-            val = _pack2(v) if not isinstance(v, int) else v
-            for piv, row in zip(self.pivots, self.packed()):
-                if (val >> piv) & 1:
-                    val ^= row
-            return val == 0
-        v = [x % self.p for x in v]
-        for piv, row in zip(self.pivots, self.rows):
-            if v[piv]:
-                f = v[piv]
-                v = [(x - f * y) % self.p for x, y in zip(v, row)]
-        return not any(v)
+        return self._spans([_pack(v, self.p, self.ambient)])
 
     def __le__(self, other):
-        if self.p == 2:
-            return all(other.contains(r) for r in self.packed())
-        return all(other.contains(r) for r in self.rows)
+        self._compat(other)
+        return other._spans(self._ints)
+
+    def _spans(self, ints):
+        """Whether packed rows all lie in this subspace: eliminating them
+        against the basis finds no new pivot."""
+        return len(_rref_ints(ints, self.p, zip(self.pivots, self._ints))) == self.dim
 
     def __eq__(self, other):
-        if not isinstance(other, Subspace) or self.p != other.p or self.ambient != other.ambient:
-            return False
-        if self.p == 2:
-            return self.packed() == other.packed()
-        return self.rows == other.rows
+        return (
+            isinstance(other, Subspace)
+            and self.p == other.p
+            and self.ambient == other.ambient
+            and self._ints == other._ints
+        )
 
     def __hash__(self):
-        if self.p == 2:
-            return hash((self.p, self.ambient, self.packed()))
-        return hash((self.p, self.ambient, self.rows))
+        return hash((self.p, self.ambient, self._ints))
 
     def sum(self, other):
         self._compat(other)
-        if self.p == 2:
-            return Subspace.from_packed(self.ambient, self.packed() + other.packed())
-        return Subspace(self.p, self.ambient, list(self.rows) + list(other.rows))
+        seed = zip(self.pivots, self._ints)
+        return Subspace.from_packed(self.p, self.ambient, other._ints, seed)
 
     def intersect(self, other):
         self._compat(other)
-        # Zassenhaus: rref of [[U|U],[W|0]]; rows with zero left half carry the
-        # intersection in their right half.
-        d = self.ambient
-        if self.p == 2:
-            stacked = [v | (v << d) for v in self.packed()]
-            stacked += list(other.packed())
-        else:
-            stacked = [list(r) + list(r) for r in self.rows]
-            stacked += [list(r) + [0] * d for r in other.rows]
-        return eliminate_block(self.p, stacked, d, d)
+        # Zassenhaus: eliminate [W|0] against the reduced rows [U|U]; rows
+        # with zero left half carry the intersection in their right half.
+        shift = slot_bits(self.p) * self.ambient
+        stacked = [(q, v | (v << shift)) for q, v in zip(self.pivots, self._ints)]
+        return eliminate_block(self.p, other._ints, self.ambient, self.ambient, stacked)
 
     def _compat(self, other):
         if self.p != other.p or self.ambient != other.ambient:
@@ -384,24 +441,20 @@ class Subspace:
         return f"Subspace(dim={self.dim}/{self.ambient})"
 
 
-def eliminate_block(p, rows, width, ambient):
-    """The subspace of F_p^ambient spanned by the tails (columns ``width``
-    on) of the combinations of ``rows`` that vanish on the first ``width``
-    columns.  Rows are packed ints for p = 2, sequences otherwise.
+def eliminate_block(p, rows, width, ambient, seed=()):
+    """The subspace of F_p^ambient spanned by the tails (coordinates
+    ``width`` on) of the combinations of packed ``rows`` that vanish on the
+    first ``width`` coordinates.  The rows extend the reduced basis ``seed``
+    (pivot, row pairs), which is taken as it is.
 
     The eliminated rows whose pivot lies past the block are already the
     canonical reduced basis of the answer, so no second elimination runs.
     """
-    if p == 2:
-        basis = _rref2_ints(rows)
-        tail = sorted(q for q in basis if q >= width)
-        return Subspace._reduced(
-            2, ambient, [q - width for q in tail], [basis[q] >> width for q in tail]
-        )
-    pivots, red = rref(rows, p)
-    tail = [i for i, q in enumerate(pivots) if q >= width]
+    basis = _rref_ints(rows, p, seed)
+    shift = slot_bits(p) * width
+    tail = sorted(q for q in basis if q >= width)
     return Subspace._reduced(
-        p, ambient, [pivots[i] - width for i in tail], [red[i][width:] for i in tail]
+        p, ambient, [q - width for q in tail], [basis[q] >> shift for q in tail]
     )
 
 
@@ -415,13 +468,17 @@ def mat_vec(rows, v, p):
 
 
 def left_nullspace(rows, p, width=None):
-    """Basis of {c : c @ rows == 0} for an F_p matrix given as a list of rows."""
-    m = len(rows)
+    """Basis of {c : c @ rows == 0} for an F_p matrix given as a list of rows.
+
+    With ``width`` given, only the first ``width`` columns must vanish and
+    each basis vector carries the remaining columns of c @ rows before c.
+    """
     if width is None:
         width = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    _, red = rref(aug, p)
-    return [r[width:] for r in red if not any(r[:width])]
+    ncols = len(rows[0]) if rows else width
+    bits = slot_bits(p)
+    aug = [_pack(r, p, ncols) | (1 << (bits * (ncols + i))) for i, r in enumerate(rows)]
+    return list(eliminate_block(p, aug, width, ncols + len(rows) - width).rows)
 
 
 # ---------------------------------------------------------------------------

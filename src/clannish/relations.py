@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SpaceMismatch
+from .errors import NotStabilized, SpaceMismatch
 from .fields import Aut
 from .linalg import (
     Subspace,
@@ -20,6 +20,7 @@ from .linalg import (
     mat_vec,
     prime_matrix,
     scalar_block_matrix,
+    slot_bits,
 )
 
 CHECK_LAWS = False
@@ -75,13 +76,10 @@ class SemilinearRelation:
 
     def inverse(self):
         sp, tp = self._pdims()
-        if self.p == 2:
-            smask = (1 << sp) - 1
-            ints = [(v >> sp) | ((v & smask) << tp) for v in self.space.packed()]
-            space = Subspace.from_packed(sp + tp, ints)
-        else:
-            rows = [list(r[sp:]) + list(r[:sp]) for r in self.space.rows]
-            space = Subspace(self.p, sp + tp, rows)
+        bits = slot_bits(self.p)
+        smask = (1 << (bits * sp)) - 1
+        ints = [(v >> (bits * sp)) | ((v & smask) << (bits * tp)) for v in self.space.packed()]
+        space = Subspace.from_packed(self.p, sp + tp, ints)
         return SemilinearRelation(
             self.field, self.sigma.inverse(), self.tgt, self.src, space
         )
@@ -94,17 +92,19 @@ class SemilinearRelation:
         up, vp, wp = other.src * n, self.src * n, self.tgt * n
         # columns ordered (V, U, W): the eliminated block must come first so
         # that rref rows with zero V-part span all such row combinations.
-        if self.p == 2:
-            umask, vmask = (1 << up) - 1, (1 << vp) - 1
-            combined = [((r >> up) & vmask) | ((r & umask) << vp) for r in other.space.packed()]
-            combined += [(r & vmask) | ((r >> vp) << (vp + up)) for r in self.space.packed()]
-        else:
-            combined = []
-            for r in other.space.rows:  # (u, v) -> (v, u, 0)
-                combined.append(list(r[up:]) + list(r[:up]) + [0] * wp)
-            for r in self.space.rows:  # (v, w) -> (-v, 0, w)
-                combined.append([(-x) % self.p for x in r[:vp]] + [0] * up + list(r[vp:]))
-        space = eliminate_block(self.p, combined, vp, up + wp)
+        # (u, v) -> (v, u, 0) and (v, w) -> (-v, 0, w), with -v = (p - 1) v
+        # slot by slot (no slot passes (p - 1)**2, so nothing carries).
+        p, bits = self.p, slot_bits(self.p)
+        umask, vmask = (1 << (bits * up)) - 1, (1 << (bits * vp)) - 1
+        combined = [
+            ((r >> (bits * up)) & vmask) | ((r & umask) << (bits * vp))
+            for r in other.space.packed()
+        ]
+        combined += [
+            (p - 1) * (r & vmask) | ((r >> (bits * vp)) << (bits * (vp + up)))
+            for r in self.space.packed()
+        ]
+        space = eliminate_block(p, combined, vp, up + wp)
         return SemilinearRelation(
             self.field, self.sigma * other.sigma, other.src, self.tgt, space
         )
@@ -112,14 +112,11 @@ class SemilinearRelation:
     def image(self, sub):
         """{w : (u, w) in self for some u in sub}."""
         sp, tp = self._pdims()
-        if sub.ambient != sp:
+        if sub.p != self.p or sub.ambient != sp:
             raise SpaceMismatch("subspace lives in the wrong source space")
-        if self.p == 2:
-            rows = list(sub.packed()) + list(self.space.packed())
-        else:
-            rows = [list(r) + [0] * tp for r in sub.rows]
-            rows += [list(r) for r in self.space.rows]
-        return eliminate_block(self.p, rows, sp, tp)
+        # the reduced basis of the relation seeds the elimination of sub's rows
+        seed = zip(self.space.pivots, self.space.packed())
+        return eliminate_block(self.p, sub.packed(), sp, tp, seed)
 
     def preimage(self, sub):
         return self.inverse().image(sub)
@@ -166,7 +163,7 @@ def _iterate(rel, start):
             return seen
         seen = nxt
     # by dimension count the chain must have stabilized
-    raise AssertionError("relation iteration failed to stabilize")
+    raise NotStabilized("relation iteration failed to stabilize")
 
 
 def arrow_relation(rep, name, inverse=False):

@@ -1,8 +1,8 @@
 """Brute-force oracles: every span is enumerated vector by vector.
 
-Prime-field subspaces and semilinear relations are checked over p = 2 (the
-bit-packed path) and p = 3 (the generic path) with ambient dimension at most
-6; the K-level elimination is checked over GF(4) and GF(9).
+Prime-field subspaces and semilinear relations are checked over p = 2 (one-bit
+slots) and p = 3 and 5 (byte slots) with ambient dimension at most 6 (4 for
+p = 5); the K-level elimination is checked over GF(4) and GF(9).
 """
 
 import itertools
@@ -45,8 +45,8 @@ def _vectors(draw, p, width):
 
 @st.composite
 def _subspace_pair(draw):
-    p = draw(st.sampled_from([2, 3]))
-    d = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 6 if p < 5 else 4))
     return p, d, draw(_vectors(p, d)), draw(_vectors(p, d))
 
 
@@ -70,8 +70,8 @@ def _relation(field, src, tgt, rows):
 @st.composite
 def _relation_triple(draw):
     """Relations R: U -> V and S: V -> W and a subspace of U, ambient <= 6."""
-    p = draw(st.sampled_from([2, 3]))
-    u, v, w = (draw(st.integers(1, 3)) for _ in range(3))
+    p = draw(st.sampled_from([2, 3, 5]))
+    u, v, w = (draw(st.integers(1, 3 if p < 5 else 2)) for _ in range(3))
     return (
         p,
         (u, v, w),
@@ -100,6 +100,20 @@ def test_relation_ops_match_enumeration(case):
         after.setdefault(x[:v], set()).add(x[v:])
     composite = {x[:u] + z for x in pairs_r for z in after.get(x[u:], ())}
     assert _members(s.compose(r).space) == composite
+
+
+def test_packed_form_tells_odd_subspaces_apart():
+    """Over GF(3), packed() is as faithful as the rows: equal subspaces pack
+    alike and distinct ones differ."""
+    vectors = list(itertools.product(range(3), repeat=3))
+    packs = {}
+    for a, b in itertools.combinations_with_replacement(vectors, 2):
+        space = Subspace(3, 3, [a, b])
+        packs.setdefault(frozenset(_members(space)), set()).add(space.packed())
+    assert len(packs) == 1 + 13 + 13
+    assert all(len(forms) == 1 for forms in packs.values())
+    assert len({forms.pop() for forms in packs.values()}) == len(packs)
+    assert Subspace(3, 2, [[1, 2]]).packed() != Subspace(3, 2, [[1, 0]]).packed()
 
 
 def _k_span(rows, field, width):

@@ -72,6 +72,24 @@ def test_subspace_sum_intersect_against_enumeration():
         assert all(su.contains(v) for v in members_inter)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda p: Subspace(p, 2, [[1, 0]]).contains([1, 0, 1]),
+        lambda p: Subspace(p, 2, [[1, 0]]).contains([0]),
+        lambda p: Subspace(p, 2, [[1, 0, 1]]),
+        lambda p: Subspace(p, 3, [[1, 0]]),
+        lambda p: rref([[1, 0], [0, 1, 1]], p),
+        lambda p: Subspace(p, 2) <= Subspace(p, 3),
+    ],
+    ids=["contains-long", "contains-short", "row-long", "row-short", "rref-ragged", "le-ambient"],
+)
+@pytest.mark.parametrize("p", [2, 3])
+def test_dimension_checks_at_the_subspace_boundary(p, bad):
+    with pytest.raises(DimensionMismatch):
+        bad(p)
+
+
 def test_left_nullspace():
     rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
     null = left_nullspace(rows, 2)

@@ -1,0 +1,162 @@
+"""The packed odd-p Gauss-Jordan kernel, checked against the list-based
+elimination it replaced.
+
+``_reference_rref`` and ``_reference_left_nullspace`` are the former generic
+``linalg.rref`` and ``linalg.left_nullspace``, kept here as the slow path.
+The primes cover byte slots (3 to 13) and wider ones (17 up to 2**61 - 1).
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from clannish.linalg import Subspace, _rref_ints, _unpack, left_nullspace, rref, slot_bits
+
+PRIMES = (3, 5, 7, 13, 17, 257)
+LARGE_PRIMES = (65537, 2**31 - 1, 2**61 - 1)
+
+# -- the list-based elimination ------------------------------------------------
+
+
+def _reference_rref(rows, p):
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return [], []
+    width = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    rows = [tuple(x % p for x in row) for row in rows[:r]]
+    return pivots, rows
+
+
+def _reference_left_nullspace(rows, p, width=None):
+    m = len(rows)
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
+    _, red = _reference_rref(aug, p)
+    return [r[width:] for r in red if not any(r[:width])]
+
+
+# -- random matrices -----------------------------------------------------------
+
+
+@st.composite
+def _matrix(draw):
+    """A prime and a matrix over it: unreduced and negative entries, zero and
+    duplicate rows, dependent rows, often more rows than columns."""
+    p = draw(st.sampled_from(PRIMES))
+    width = draw(st.integers(1, 7))
+    entry = st.integers(-2 * p, 2 * p) | st.sampled_from([0, 1, p - 1, p, -1])
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=12))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-p, p)), draw(st.integers(-p, p))
+        r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append([a * x + b * y for x, y in zip(r1, r2)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * width)
+    return p, rows
+
+
+@given(_matrix())
+def test_rref_matches_the_list_elimination(case):
+    p, rows = case
+    assert rref(rows, p) == _reference_rref(rows, p)
+
+
+@given(_matrix(), st.data())
+def test_left_nullspace_matches_the_list_elimination(case, data):
+    p, rows = case
+    assert left_nullspace(rows, p) == _reference_left_nullspace(rows, p)
+    width = data.draw(st.integers(0, len(rows[0]) if rows else 0))
+    assert left_nullspace(rows, p, width) == _reference_left_nullspace(rows, p, width)
+
+
+@given(_matrix())
+def test_subspace_basis_matches_the_list_elimination(case):
+    p, rows = case
+    if not rows:
+        return
+    space = Subspace(p, len(rows[0]), rows)
+    pivots, red = _reference_rref(rows, p)
+    assert space.pivots == tuple(pivots)
+    assert space.rows == tuple(red)
+    assert all(space.contains(r) for r in rows)
+
+
+# -- the no-carry bound ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 251, 257, 65521, 65537, 2**31 - 1, 2**61 - 1])
+def test_slot_width_leaves_room_for_one_step(p):
+    bits = slot_bits(p)
+    # one multiply-add between reduced rows reaches (p - 1) + (p - 1)**2
+    assert (p - 1) + (p - 1) ** 2 < p * p < 2**bits
+    assert bits % 8 == 0 and p * p >= 2 ** (bits - 8)
+    assert (bits == 8) == (p <= 13)
+    assert slot_bits(2) == 1
+
+
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
+def test_all_top_entries(p):
+    """A tall matrix whose entries are all p - 1."""
+    rows = [[p - 1] * 5 for _ in range(40)]
+    assert rref(rows, p) == _reference_rref(rows, p) == ([0], [(1,) * 5])
+
+
+def _carry_case(p):
+    """Rows whose elimination overflows a slot unless rows are reduced in time.
+
+    Each row e_i + (p - 1) e_n (0 < i < n) adds (p - 1)**2 to the last slot
+    of the all-ones rows: of the first one as a basis row when e_i becomes a
+    pivot row, and of the later ones while they are sifted.  n is large
+    enough that these additions pass 2**slot_bits(p) - 1 without reduction.
+    """
+    n = 2 ** slot_bits(p) // (p - 1) ** 2 + 3
+    ones = [1] * (n + 1)
+    rows = [ones]
+    for i in range(1, n):
+        row = [0] * (n + 1)
+        row[i], row[n] = 1, p - 1
+        rows.append(row)
+    return rows + [ones, [p - 1] * (n + 1), ones]
+
+
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
+def test_elimination_reduces_before_a_slot_carries(p):
+    rows = _carry_case(p)
+    assert rref(rows, p) == _reference_rref(rows, p)
+    width = len(rows[0])
+    assert left_nullspace(rows, p) == _reference_left_nullspace(rows, p)
+    assert Subspace(p, width, rows).rows == tuple(_reference_rref(rows, p)[1])
+
+
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
+def test_kernel_takes_slots_up_to_the_square(p):
+    """Input slots may hold (p - 1)**2, as negated rows in relation composites do."""
+    rows = _carry_case(p)
+    width = len(rows[0])
+    bits = slot_bits(p)
+    packed = [sum(((p - 1) * (x % p)) << (bits * j) for j, x in enumerate(r)) for r in rows]
+    basis = _rref_ints(packed, p)
+    negated = [[-x for x in r] for r in rows]
+    pivots, red = _reference_rref(negated, p)
+    assert sorted(basis) == pivots
+    assert [_unpack(basis[q], p, width) for q in pivots] == red

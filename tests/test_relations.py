@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from clannish.fields import Aut
+from clannish.errors import ClannishError, NotStabilized, SpaceMismatch
+from clannish.fields import Aut, make_field
+from clannish import relations
 from clannish.linalg import Matrix, Subspace, expand_vector
 from clannish.relations import (
     SemilinearRelation,
@@ -159,3 +161,22 @@ def test_k_dimension_checks_stability(F4):
     space = Subspace(2, 4, [[1, 0, 0, 0]])
     with pytest.raises(Exception):
         k_dimension(F4, space)
+
+
+def test_iteration_that_never_stabilizes_raises_a_typed_error():
+    a, b = Subspace(3, 2, [[1, 0]]), Subspace(3, 2, [[0, 1]])
+
+    class Flip:
+        def image(self, space):
+            return b if space == a else a
+
+    with pytest.raises(NotStabilized) as info:
+        relations._iterate(Flip(), a)
+    assert isinstance(info.value, ClannishError)
+
+
+def test_image_of_a_subspace_over_another_prime_is_refused():
+    f2 = make_field(2, 1)
+    rel = SemilinearRelation(f2, Aut(f2, 0), 2, 2, Subspace(2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]]))
+    with pytest.raises(SpaceMismatch):
+        rel.image(Subspace(3, 2, [[1, 2]]))
