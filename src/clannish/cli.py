@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every command prints a single JSON document (pass --pretty for indentation)
-and exits 0 on success; domain errors print {"error": {...}} and exit 1.
+and exits 0 on success; domain errors and command lines that do not parse
+print {"error": {...}} and exit 1.  The one exception is ``oracle-check``,
+which exits 1 with its report when the functor and the oracle disagree.
 Presentation files may be given as a path or as "example:NAME" for one of
 the bundled presentations.
 """
@@ -13,7 +15,7 @@ import json
 import sys
 
 from . import filtration, homalg, serialize, walks, words
-from .errors import ClannishError, InvalidInput
+from .errors import ClannishError, InvalidInput, UsageError
 from .examples import BUNDLED
 from .fields import make_field
 from .presentation import algebra_dimension, enumerate_admissible_paths
@@ -225,6 +227,7 @@ def cmd_decompose(args):
 
 
 def cmd_oracle_check(args):
+    seed = homalg._seed()
     rep = load_module(args.module, args.presentation)
     report = filtration.multiplicities(rep, args.max_len, args.max_period)
     parts = homalg.brute_decompose(rep)
@@ -242,14 +245,30 @@ def cmd_oracle_check(args):
         "agree": agg == functor,
         "checksum": report.checksum,
         "complete": report.complete,
-        "seed": homalg._seed(),
+        "seed": seed,
     }
     emit(args, payload)
     return 0 if payload["agree"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command line that does not parse as a UsageError, so that it
+    follows the error contract; subcommand parsers share the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def positive_int(text):
+    """A --max-len/--max-period value: a positive integer."""
+    value = int(text)
+    if value <= 0:
+        raise InvalidInput(f"--max-len and --max-period must be positive, not {value}")
+    return value
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="clannish",
         description="string/band classification toolkit for semilinear clannish algebras",
     )
@@ -271,17 +290,17 @@ def build_parser():
 
     sp = sub.add_parser("strings", help="enumerate strings")
     sp.add_argument("presentation")
-    sp.add_argument("--max-len", type=int, required=True)
+    sp.add_argument("--max-len", type=positive_int, required=True)
     sp.set_defaults(fn=cmd_strings)
 
     sp = sub.add_parser("bands", help="enumerate bands")
     sp.add_argument("presentation")
-    sp.add_argument("--max-period", type=int, required=True)
+    sp.add_argument("--max-period", type=positive_int, required=True)
     sp.set_defaults(fn=cmd_bands)
 
     sp = sub.add_parser("basis", help="enumerate admissible paths")
     sp.add_argument("presentation")
-    sp.add_argument("--max-len", type=int, required=True)
+    sp.add_argument("--max-len", type=positive_int, required=True)
     sp.set_defaults(fn=cmd_basis)
 
     sp = sub.add_parser("build", help="build a string/band module")
@@ -300,23 +319,23 @@ def build_parser():
     sp = sub.add_parser("decompose", help="multiplicity report with checksum")
     sp.add_argument("module")
     sp.add_argument("--presentation", default=None)
-    sp.add_argument("--max-len", type=int, default=None)
-    sp.add_argument("--max-period", type=int, default=None)
+    sp.add_argument("--max-len", type=positive_int, default=None)
+    sp.add_argument("--max-period", type=positive_int, default=None)
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("oracle-check", help="brute-force decomposition vs report")
     sp.add_argument("module")
     sp.add_argument("--presentation", default=None)
-    sp.add_argument("--max-len", type=int, default=None)
-    sp.add_argument("--max-period", type=int, default=None)
+    sp.add_argument("--max-len", type=positive_int, default=None)
+    sp.add_argument("--max-period", type=positive_int, default=None)
     sp.set_defaults(fn=cmd_oracle_check)
 
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ClannishError as exc:
         json.dump(

@@ -109,3 +109,7 @@ class NotStabilized(ClannishError):
 
 class OracleFailure(ClannishError):
     """The brute-force oracle ended without a decision."""
+
+
+class UsageError(ClannishError):
+    """A command line that does not parse: a missing or unknown argument."""

@@ -6,6 +6,12 @@ tuple of K-matrices (one per vertex) intertwining raw arrow actions; the
 endomorphism ring is handled as a finite-dimensional F_p-algebra acting
 faithfully on the module, where its radical is computed with the
 characteristic-polynomial-coefficient chain for small characteristic.
+
+End elements are F_p matrices kept as packed rows, one int per row in the
+``linalg`` layout, and multiplied with ``linalg.mat_mul``; they are unpacked
+only where ``charpoly`` or ``_split_by_idempotent`` reads entries.  The first
+level of the radical chain comes from the trace form, one Gram matrix, with
+no product or characteristic polynomial per pair.
 """
 
 from __future__ import annotations
@@ -14,17 +20,29 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import OracleFailure, PresentationMismatch, SpaceMismatch, TooLarge
+from .errors import InvalidInput, OracleFailure, PresentationMismatch, SpaceMismatch, TooLarge
 from .fields import Aut, _poly_divmod, _poly_gcd, _poly_mul, _poly_powmod, _poly_sub, _trim
 from .linalg import (
     Matrix,
+    _rref_ints,
+    _unpack,
+    combine,
     frob_matrix,
+    join_rows,
     k_rref,
     left_nullspace,
+    mat_identity,
+    mat_is_zero,
+    mat_mul,
     mat_vec,
     mult_matrix,
+    pack_matrix,
+    poly_eval_matrix,
     prime_matrix,
     rref,
+    slot_bits,
+    transpose,
+    unpack_matrix,
 )
 from .reps import Representation
 
@@ -35,7 +53,11 @@ EXHAUSTIVE_FIELD = 4
 
 
 def _seed():
-    return int(os.environ.get("CLANNISH_SEED", DEFAULT_SEED))
+    text = os.environ.get("CLANNISH_SEED", str(DEFAULT_SEED))
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInput(f"CLANNISH_SEED={text!r} is not an integer") from None
 
 
 # -- direct sums and submodules -------------------------------------------------
@@ -191,6 +213,12 @@ def compose_morphisms(first, then):
     return {v: first[v] @ then[v] for v in first}
 
 
+def _packed_morphism(m, field):
+    """Per-vertex packed prime-field matrices of a morphism."""
+    ident = Aut(field, 0)
+    return {v: pack_matrix(prime_matrix(field, ident, mat), field.p) for v, mat in m.items()}
+
+
 def morphism_invertible(m):
     return all(mat.is_invertible() for mat in m.values())
 
@@ -199,81 +227,52 @@ def morphism_invertible(m):
 
 
 class EndAlgebra:
-    """End(M) acting faithfully on the module's prime-field coordinates."""
+    """End(M) acting faithfully on the module's prime-field coordinates.
+
+    Elements are lists of packed rows; each basis element is kept joined
+    into one packed vector, so that an element is one ``combine``.
+    """
 
     def __init__(self, rep):
         self.rep = rep
         field = rep.field
         self.p = field.p
         hs = hom_space(rep, rep)
-        self.hom = hs
         self.amb = rep.prime_dim()
-        order = list(rep.pres.vertices)
         offsets = {}
         total = 0
-        for v in order:
+        for v in rep.pres.vertices:
             offsets[v] = total
             total += rep.dims[v] * field.n
         self.offsets = offsets
-        self.mats = [self._flatten(b) for b in hs.basis]
-        self.dim = len(self.mats)
+        self.flats = [join_rows(self._flatten(b), self.p, self.amb) for b in hs.basis]
+        self.dim = len(self.flats)
 
     def _flatten(self, per_vertex):
-        field = self.rep.field
-        nn = self.amb
-        out = [[0] * nn for _ in range(nn)]
-        for v, mat in per_vertex.items():
-            pm = prime_matrix(field, Aut(field, 0), mat)
+        bits = slot_bits(self.p)
+        out = [0] * self.amb
+        for v, rows in _packed_morphism(per_vertex, self.rep.field).items():
             base = self.offsets[v]
-            for i, row in enumerate(pm):
-                for j, x in enumerate(row):
-                    out[base + i][base + j] = x
+            for i, row in enumerate(rows):
+                out[base + i] = row << (bits * base)
         return out
 
     def element(self, coeffs):
-        nn = self.amb
-        out = [[0] * nn for _ in range(nn)]
-        for c, m in zip(coeffs, self.mats):
-            if c % self.p == 0:
-                continue
-            for i in range(nn):
-                row = m[i]
-                orow = out[i]
-                for j in range(nn):
-                    if row[j]:
-                        orow[j] = (orow[j] + c * row[j]) % self.p
-        return out
+        flat = combine(coeffs, self.flats, self.p)
+        shift = slot_bits(self.p) * self.amb
+        row = (1 << shift) - 1
+        return [(flat >> (shift * i)) & row for i in range(self.amb)]
 
     def coords(self, mat):
-        """Coordinates of an endomorphism matrix in the hom basis."""
+        """Coordinates of an endomorphism matrix (packed rows) in the hom basis."""
         width = self.amb * self.amb
-        rows = [[m[i][j] for i in range(self.amb) for j in range(self.amb)] for m in self.mats]
-        target = [mat[i][j] for i in range(self.amb) for j in range(self.amb)]
-        aug = rows + [target]
-        sols = left_nullspace(aug, self.p, width=width)
+        flats = self.flats + [join_rows(mat, self.p, self.amb)]
+        sols = left_nullspace([_unpack(f, self.p, width) for f in flats], self.p, width=width)
         for s in sols:
             if s[-1] % self.p:
                 inv = pow(s[-1], self.p - 2, self.p)
                 return [(-inv * c) % self.p for c in s[:-1]]
         raise SpaceMismatch("matrix not in the algebra")
-
-
-def _mat_mul(a, b, p):
-    nn = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
-
-
-def _mat_add(a, b, p):
-    return [[(x + y) % p for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _mat_eq_zero(a):
-    return all(all(x == 0 for x in r) for r in a)
-
-
-def _identity(nn):
-    return [[1 if i == j else 0 for j in range(nn)] for i in range(nn)]
 
 
 def charpoly(a, p):
@@ -282,7 +281,7 @@ def charpoly(a, p):
     Returned lowest degree first, length n+1, leading coefficient 1.
     """
     nn = len(a)
-    h = [row[:] for row in a]
+    h = [list(row) for row in a]
     for c in range(nn - 1):
         piv = next((r for r in range(c + 1, nn) if h[r][c] % p), None)
         if piv is None:
@@ -333,29 +332,51 @@ def radical_basis(alg):
 
     Chain: J_0 = E; J_{i+1} = {x in J_i : c_{p^i}(x y) = 0 for all y in J_i}
     where c_k is the k-th characteristic polynomial coefficient of the action
-    on the module.  Stops once p^i exceeds the module dimension.
+    on the module.  Stops once p^i exceeds the module dimension.  The first
+    level needs no characteristic polynomial: c_1(xy) = -tr(xy), so J_1 is
+    the null space of the trace form.  Both forms are symmetric, since xy
+    and yx have one characteristic polynomial.
     """
     p = alg.p
     nn = alg.amb
     basis = [[1 if i == j else 0 for j in range(alg.dim)] for i in range(alg.dim)]
     power = 1
     while power <= nn and basis:
-        conditions = []
-        mats_y = [alg.element(b) for b in basis]
-        mats_x = mats_y
-        rows = []
-        for bx in basis:
-            x = alg.element(bx)
-            row = []
-            for y in mats_y:
-                cp = charpoly(_mat_mul(x, y, p), p)
-                row.append(cp[nn - power] % p if nn - power >= 0 else 0)
-            rows.append(row)
-        null = left_nullspace(rows, p, width=len(mats_y))
+        if power == 1:
+            rows = _trace_form(alg)
+        else:
+            mats = [alg.element(b) for b in basis]
+            rows = [[0] * len(mats) for _ in mats]
+            for i, x in enumerate(mats):
+                for j in range(i, len(mats)):
+                    z = mat_mul(x, mats[j], p)
+                    if not _is_nilpotent(z, p):  # else every lower coefficient is 0
+                        rows[i][j] = rows[j][i] = charpoly(unpack_matrix(z, p, nn), p)[nn - power]
+        null = left_nullspace(rows, p, width=len(basis))
         basis = [_combine(basis, c, p) for c in null]
         basis = [b for b in basis if any(b)]
         power *= p
     return basis
+
+
+def _is_nilpotent(z, p):
+    """Whether a packed n x n matrix has z^n == 0, by repeated squaring."""
+    power, reach = z, 1
+    while any(power):
+        if reach >= len(z):
+            return False
+        power = mat_mul(power, power, p)
+        reach *= 2
+    return True
+
+
+def _trace_form(alg):
+    """Gram matrix tr(x_i x_j) on the hom basis: tr(xy) pairs the joined
+    rows of x with those of y's transpose, so it is one product."""
+    nn = alg.amb
+    cols = transpose(alg.flats, alg.p, nn * nn)
+    swapped = [cols[b * nn + a] for a in range(nn) for b in range(nn)]
+    return unpack_matrix(mat_mul(alg.flats, swapped, alg.p), alg.p, alg.dim)
 
 
 def _combine(basis, coeffs, p):
@@ -367,26 +388,25 @@ def _combine(basis, coeffs, p):
 
 
 def min_poly(mat, p):
-    """Minimal polynomial of an F_p matrix, lowest degree first, monic."""
+    """Minimal polynomial of an F_p matrix given as packed rows, lowest degree
+    first, monic.  The joined powers, tagged with their degree, extend one
+    reduced basis until one reduces to its tags: the first dependency."""
     nn = len(mat)
     width = nn * nn
-    powers = [_identity(nn)]
-    flat = [[powers[0][i][j] for i in range(nn) for j in range(nn)]]
+    shift = slot_bits(p) * width
+    basis = {}
+    power = mat_identity(nn, p)
+    deg = 0
     while True:
-        nxt = _mat_mul(powers[-1], mat, p)
-        powers.append(nxt)
-        flat.append([nxt[i][j] for i in range(nn) for j in range(nn)])
-        sols = left_nullspace(flat, p, width=width)
-        if sols:
-            # the relation with the highest power having coefficient 1
-            best = None
-            for s in sols:
-                deg = max(i for i, c in enumerate(s) if c % p)
-                if best is None or deg < best[0]:
-                    best = (deg, s)
-            deg, s = best
+        tagged = join_rows(power, p, nn) | (1 << (shift + slot_bits(p) * deg))
+        basis = _rref_ints([tagged], p, basis.items())
+        dep = [q for q in basis if q >= width]
+        if dep:
+            s = _unpack(basis[dep[0]] >> shift, p, deg + 1)
             inv = pow(s[deg], p - 2, p)
-            return [(c * inv) % p for c in s[: deg + 1]]
+            return [(c * inv) % p for c in s]
+        power = mat_mul(power, mat, p)
+        deg += 1
 
 
 # -- polynomial factorization over F_p (for idempotent splitting) ----------------
@@ -527,9 +547,7 @@ def _quotient_is_field(alg, rad):
         return vec
 
     def qmul(u, v):
-        mu = alg.element(from_q(u))
-        mv = alg.element(from_q(v))
-        return to_q(alg.coords(_mat_mul(mu, mv, p)))
+        return to_q(alg.coords(mat_mul(alg.element(from_q(u)), alg.element(from_q(v)), p)))
 
     units = [[1 if j == i else 0 for j in range(qdim)] for i in range(qdim)]
     # commutativity on basis pairs
@@ -552,21 +570,16 @@ def _quotient_is_field(alg, rad):
 def _idempotent_exhaustive(alg):
     """Scan all algebra elements for a nontrivial idempotent."""
     p = alg.p
-    ident = _identity(alg.amb)
-    id_coords = alg.coords(ident)
+    id_coords = alg.coords(mat_identity(alg.amb, p))
     total = p ** alg.dim
     for code in range(total):
         coeffs = [(code // p ** i) % p for i in range(alg.dim)]
         if not any(coeffs) or coeffs == id_coords:
             continue
         e = alg.element(coeffs)
-        if _mat_eq_zero(_psub_mat(_mat_mul(e, e, p), e, p)):
+        if mat_mul(e, e, p) == e:
             return coeffs
     return None
-
-
-def _psub_mat(a, b, p):
-    return [[(x - y) % p for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 def is_indecomposable(rep):
@@ -602,23 +615,12 @@ def _splitting_idempotent_from(alg, coeffs, rng):
     _, u, v = _pxgcd(g1m, g2, p)
     # e = (v g2)(x) is the projector onto ker(g1m(x))
     e_poly = _poly_mul(v, g2, p)
-    e = _poly_eval_matrix(e_poly, x, p)
-    if _mat_eq_zero(e) or _mat_eq_zero(_psub_mat(e, _identity(alg.amb), p)):
+    e = poly_eval_matrix(e_poly, x, p)
+    if mat_is_zero(e) or e == mat_identity(alg.amb, p):
         return None
-    if not _mat_eq_zero(_psub_mat(_mat_mul(e, e, p), e, p)):
+    if mat_mul(e, e, p) != e:
         return None
     return e
-
-
-def _poly_eval_matrix(poly, x, p):
-    nn = len(x)
-    out = [[0] * nn for _ in range(nn)]
-    power = _identity(nn)
-    for c in poly:
-        if c % p:
-            out = _mat_add(out, [[(c * y) % p for y in row] for row in power], p)
-        power = _mat_mul(power, x, p)
-    return out
 
 
 def _find_splitting_idempotent(rep, alg):
@@ -647,48 +649,31 @@ def _find_splitting_idempotent(rep, alg):
     raise OracleFailure("no splitting idempotent found for a decomposable module")
 
 
-def _split_by_idempotent(rep, e_flat):
-    """The two summands cut out by an idempotent given on prime coordinates."""
+def _split_by_idempotent(rep, e):
+    """The two summands cut out by an idempotent given as packed rows on
+    prime coordinates."""
     field = rep.field
     n = field.n
-    pres = rep.pres
-    offsets = {}
-    total = 0
-    for v in pres.vertices:
-        offsets[v] = total
-        total += rep.dims[v] * n
+    e_rows = unpack_matrix(e, field.p, len(e))
     out = []
     for use_complement in (False, True):
         spaces = {}
-        for v in pres.vertices:
+        base = 0
+        for v in rep.pres.vertices:
             d = rep.dims[v]
-            rows = []
-            for i in range(d):
-                krow = []
-                for j in range(d):
-                    # read the K-entry back off the prime block
-                    block = [
-                        e_flat[offsets[v] + i * n + a][offsets[v] + j * n + b]
-                        for a in range(n)
-                        for b in range(n)
-                    ]
-                    krow.append(_k_entry_from_block(field, block))
-                rows.append(krow)
+            # K-entry (i, j) is the image of 1 under the n x n prime block
+            # (i, j): that block's first row
+            rows = [
+                [field.el(e_rows[base + i * n][base + j * n : base + j * n + n]) for j in range(d)]
+                for i in range(d)
+            ]
             mat = Matrix(field, rows, d, d)
             if use_complement:
                 mat = Matrix.identity(field, d) - mat
             spaces[v] = Matrix(field, k_rref(mat.rows)[1], ncols=d)
+            base += d * n
         out.append(sub_representation(rep, spaces))
     return out
-
-
-def _k_entry_from_block(field, block):
-    """Recover the K-matrix entry of a K-linear map from its n x n prime block."""
-    n = field.n
-    # the block's first row is the image of the basis coefficient vector e_0,
-    # i.e. the coefficients of 1 * entry
-    first = block[:n]
-    return field.el(list(first))
 
 
 def brute_decompose(rep, limit=BRUTE_LIMIT):
@@ -707,27 +692,19 @@ def brute_decompose(rep, limit=BRUTE_LIMIT):
     return brute_decompose(part_a, limit) + brute_decompose(part_b, limit)
 
 
-def _nilpotent_morphism(m, rep):
-    for mat in m.values():
-        power = Matrix.identity(rep.field, mat.nrows)
-        for _ in range(mat.nrows):
-            power = power @ mat
-        if not power.is_zero():
-            return False
-    return True
-
-
 def _indec_isomorphic(m1, m2):
+    """Indecomposables are isomorphic iff some round trip m1 -> m2 -> m1
+    through the hom bases is not nilpotent."""
     if m1.dims != m2.dims:
         return False
     if m1.dim() == 0:
         return True
-    h12 = hom_space(m1, m2)
-    h21 = hom_space(m2, m1)
-    for f in h12.basis:
-        for g in h21.basis:
-            comp = compose_morphisms(f, g)
-            if not _nilpotent_morphism(comp, m1):
+    field = m1.field
+    h12 = [_packed_morphism(f, field) for f in hom_space(m1, m2).basis]
+    h21 = [_packed_morphism(g, field) for g in hom_space(m2, m1).basis]
+    for f in h12:
+        for g in h21:
+            if not all(_is_nilpotent(mat_mul(f[v], g[v], field.p), field.p) for v in f):
                 return True
     return False
 

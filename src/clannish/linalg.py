@@ -11,7 +11,8 @@ int with coordinate j in slot j, ``slot_bits(p)`` bits wide (1 bit for p = 2;
 for odd p the least multiple of 8 with p*p < 2**bits, so bytes for
 p <= 13).  One Gauss-Jordan kernel, ``_rref_ints``, eliminates them: XOR for
 p = 2, and for odd p multiply-adds that reduce a row mod p only before a slot
-could carry.
+could carry.  F_p matrices (the oracle's endomorphisms) are lists of such
+rows, multiplied by ``mat_mul`` under the same rule.
 """
 
 from __future__ import annotations
@@ -390,8 +391,7 @@ class Subspace:
 
     @classmethod
     def full(cls, p, ambient):
-        bits = slot_bits(p)
-        return cls._reduced(p, ambient, range(ambient), [1 << (bits * i) for i in range(ambient)])
+        return cls._reduced(p, ambient, range(ambient), mat_identity(ambient, p))
 
     @property
     def dim(self):
@@ -479,6 +479,98 @@ def left_nullspace(rows, p, width=None):
     bits = slot_bits(p)
     aug = [_pack(r, p, ncols) | (1 << (bits * (ncols + i))) for i, r in enumerate(rows)]
     return list(eliminate_block(p, aug, width, ncols + len(rows) - width).rows)
+
+
+# ---------------------------------------------------------------------------
+# F_p matrices as lists of packed rows (the layout of ``Subspace`` rows), all
+# entries reduced
+
+
+def pack_matrix(rows, p):
+    return [_pack(r, p, len(r)) for r in rows]
+
+
+def unpack_matrix(a, p, ncols):
+    return [list(_unpack(v, p, ncols)) for v in a]
+
+
+def join_rows(a, p, ncols):
+    """The packed rows of a matrix with ``ncols`` columns as one packed
+    vector, row after row."""
+    shift = slot_bits(p) * ncols
+    out = 0
+    for i, v in enumerate(a):
+        out |= v << (shift * i)
+    return out
+
+
+def transpose(a, p, ncols):
+    return pack_matrix(list(zip(*unpack_matrix(a, p, ncols))), p)
+
+
+def combine(coeffs, vals, p):
+    """sum(c * v) over packed rows ``vals``, reduced.  Each term adds at most
+    (p - 1)**2 to a slot, and the sum is reduced before a term could carry a
+    slot past 2**bits - 1 (the no-carry rule of ``_rref_ints``)."""
+    if p == 2:
+        out = 0
+        for c, v in zip(coeffs, vals):
+            if c & 1:
+                out ^= v
+        return out
+    bits = slot_bits(p)
+    mask = (1 << bits) - 1
+    out = bound = 0
+    for c, v in zip(coeffs, vals):
+        c %= p
+        if c:
+            if bound + c * (p - 1) > mask:
+                out, bound = _reduce(out, p, bits), p - 1
+            out += c * v
+            bound += c * (p - 1)
+    return _reduce(out, p, bits) if bound >= p else out
+
+
+def mat_mul(a, b, p):
+    """a @ b: row i is the combination of b's rows by the entries of a's row i
+    (over GF(2) the XOR of the rows of b that a's bits select)."""
+    if p == 2:
+        out = []
+        for v in a:
+            acc = 0
+            while v:
+                low = v & -v
+                acc ^= b[low.bit_length() - 1]
+                v ^= low
+            out.append(acc)
+        return out
+    return [combine(_unpack(v, p, len(b)), b, p) for v in a]
+
+
+def mat_add(a, b, p):
+    if p == 2:
+        return [x ^ y for x, y in zip(a, b)]
+    bits = slot_bits(p)
+    return [_reduce(x + y, p, bits) for x, y in zip(a, b)]
+
+
+def mat_identity(nn, p):
+    bits = slot_bits(p)
+    return [1 << (bits * i) for i in range(nn)]
+
+
+def mat_is_zero(a):
+    return not any(a)
+
+
+def poly_eval_matrix(poly, x, p):
+    """f(x) for a polynomial f given lowest degree first, by Horner's rule."""
+    out = [0] * len(x)
+    for c in reversed(poly):
+        out = mat_mul(out, x, p)
+        if c % p:
+            out = mat_add(out, [(c % p) * e for e in mat_identity(len(x), p)], p)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -193,3 +193,74 @@ def test_bad_input_gives_typed_error(tmp_path, argv, content, error):
     err = json.loads(proc.stdout)["error"]
     assert err["type"] == kind and named in err["detail"]
 
+
+
+def test_usage_error_follows_the_contract():
+    proc = run_cli("decompose", check=False)
+    assert proc.returncode == 1 and not proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "UsageError" and "module" in err["detail"]
+    assert run_cli("decompose", "--help").stdout.startswith("usage:")
+
+
+def _main(capsys, *argv):
+    """Run the CLI in this process: (exit code, the one JSON document)."""
+    from clannish import cli
+
+    code = cli.main([str(a) for a in argv])
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strings", "example:E1", "--max-len", "-3"],
+        ["strings", "example:E1", "--max-len", "0"],
+        ["bands", "example:E1", "--max-period", "0"],
+        ["bands", "example:E1", "--max-period", "-1"],
+        ["basis", "example:E1", "--max-len", "0"],
+        ["decompose", "{module}", "--max-len", "0"],
+        ["decompose", "{module}", "--max-period", "-2"],
+        ["oracle-check", "{module}", "--max-len", "-1"],
+        ["oracle-check", "{module}", "--max-period", "0"],
+    ],
+)
+def test_non_positive_bounds_are_invalid(tmp_path, capsys, argv):
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(_e1_module()))
+    code, out = _main(capsys, *(a.format(module=module) for a in argv))
+    assert code == 1 and out["error"]["type"] == "InvalidInput"
+
+
+def test_bad_seed_is_invalid_input(tmp_path, capsys, monkeypatch):
+    from clannish import homalg
+    from clannish.errors import InvalidInput
+
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(_e1_module()))
+    monkeypatch.setenv("CLANNISH_SEED", "abc")
+    with pytest.raises(InvalidInput, match="CLANNISH_SEED"):
+        homalg._seed()
+    code, out = _main(capsys, "oracle-check", module)
+    assert code == 1 and out["error"]["type"] == "InvalidInput"
+    assert "CLANNISH_SEED" in out["error"]["detail"]
+    monkeypatch.setenv("CLANNISH_SEED", "7")
+    code, out = _main(capsys, "oracle-check", module)
+    assert code == 0 and out["seed"] == 7
+
+
+def test_oracle_disagreement_exits_1_with_its_report(tmp_path, capsys, monkeypatch):
+    # the one exception to "exit 0 or {"error"}": a disagreement is a report
+    from clannish import homalg
+
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(_e1_module()))
+    # the whole module as its own summand agrees by construction; twice, it
+    # doubles every oracle count
+    monkeypatch.setattr(homalg, "brute_decompose", lambda rep: [rep, rep])
+    code, out = _main(capsys, "oracle-check", module)
+    assert code == 1 and "error" not in out
+    assert out["agree"] is False and out["oracle"] == {"s*.a.s*": 2}
+    assert out["functor"] == {"s*.a.s*": 1}

@@ -23,7 +23,7 @@ from clannish.homalg import (
     min_poly,
     radical_basis,
 )
-from clannish.linalg import Matrix
+from clannish.linalg import Matrix, mat_identity, mat_is_zero, mat_mul, pack_matrix, slot_bits
 from clannish.reps import Representation
 
 
@@ -69,10 +69,10 @@ def test_charpoly_against_expansion():
 
 def test_min_poly_examples():
     # nilpotent Jordan block: minimal polynomial x^2
-    assert min_poly([[0, 1], [0, 0]], 2) == [0, 0, 1]
-    assert min_poly([[1, 0], [0, 1]], 3) == [2, 1]  # x - 1
+    assert min_poly(pack_matrix([[0, 1], [0, 0]], 2), 2) == [0, 0, 1]
+    assert min_poly(pack_matrix([[1, 0], [0, 1]], 3), 3) == [2, 1]  # x - 1
     # companion of x^2 + x + 1 over GF(2)
-    assert min_poly([[0, 1], [1, 1]], 2) == [1, 1, 1]
+    assert min_poly(pack_matrix([[0, 1], [1, 1]], 2), 2) == [1, 1, 1]
 
 
 def test_factor_poly():
@@ -182,15 +182,13 @@ def test_radical_is_nilpotent_ideal(GP2):
     for _, _, rep in _pool(GP2, max_string_len=3, max_band_period=2)[:4]:
         alg = EndAlgebra(rep)
         rad = radical_basis(alg)
-        from clannish.homalg import _mat_mul, _mat_eq_zero
-
         mats = [alg.element(b) for b in rad]
         # nilpotency: products of length amb vanish
         for m in mats:
             acc = m
             for _ in range(alg.amb):
-                acc = _mat_mul(acc, m, alg.p)
-            assert _mat_eq_zero(acc)
+                acc = mat_mul(acc, m, alg.p)
+            assert mat_is_zero(acc)
 
 
 def test_brute_decompose_examples(E1):
@@ -243,8 +241,8 @@ def test_oracle_failures_are_typed(E1, monkeypatch):
     cat = {repr(d.word): rep for d, mod, rep in _pool(E1)}
     a, b = cat["s*"], cat["s*as*"]
     alg = EndAlgebra(b)
-    outside = homalg._identity(alg.amb)
-    outside[0][1] = 1
+    outside = mat_identity(alg.amb, alg.p)
+    outside[0] |= 1 << slot_bits(alg.p)  # entry (0, 1)
     with pytest.raises(SpaceMismatch):
         alg.coords(outside)
     # End of an indecomposable module is local: no idempotent splits it
@@ -252,7 +250,7 @@ def test_oracle_failures_are_typed(E1, monkeypatch):
         _find_splitting_idempotent(b, alg)
     # an idempotent that cuts off nothing is caught, not recursed on
     monkeypatch.setattr(
-        homalg, "_find_splitting_idempotent", lambda rep, alg: homalg._identity(alg.amb)
+        homalg, "_find_splitting_idempotent", lambda rep, alg: mat_identity(alg.amb, alg.p)
     )
     with pytest.raises(OracleFailure):
         brute_decompose(direct_sum(a, b))

@@ -6,15 +6,9 @@ from clannish.errors import ClannishError, NotStabilized, SpaceMismatch
 from clannish.fields import Aut, make_field
 from clannish import relations
 from clannish.linalg import Matrix, Subspace, expand_vector
-from clannish.relations import (
-    SemilinearRelation,
-    arrow_relation,
-    check_one_relation_laws,
-    check_stable_image_laws,
-    check_symmetric_band_rewriting,
-    k_dimension,
-)
+from clannish.relations import SemilinearRelation, arrow_relation, check_stable_image_laws
 from clannish.skewquad import SkewQuadratic
+from relation_laws import check_one_relation_laws, check_symmetric_band_rewriting, k_dimension
 
 
 def graph_of(field, sigma, rows):
