@@ -17,7 +17,6 @@ import sys
 from . import filtration, homalg, serialize, walks, words
 from .errors import ClannishError, InvalidInput, UsageError
 from .examples import BUNDLED
-from .fields import make_field
 from .presentation import algebra_dimension, enumerate_admissible_paths
 from .skewquad import (
     IRREDUCIBLE,
@@ -92,8 +91,20 @@ def _element_arg(field, text):
     return serialize.element_from_json(field, data)
 
 
+def _field_arg(args):
+    """GF(p^n) from --p, --n and an optional --modulus, a JSON list of
+    integer coefficients; anything else raises InvalidInput."""
+    modulus = None
+    if args.modulus:
+        try:
+            modulus = json.loads(args.modulus)
+        except ValueError as exc:
+            raise InvalidInput(f"--modulus {args.modulus!r} is not JSON: {exc}") from exc
+    return serialize.field_from_json({"p": args.p, "n": args.n, "modulus": modulus})
+
+
 def cmd_quadratic(args):
-    field = make_field(args.p, args.n, json.loads(args.modulus) if args.modulus else None)
+    field = _field_arg(args)
     q = SkewQuadratic(
         field,
         field.frobenius(args.sigma),
@@ -158,10 +169,18 @@ def cmd_basis(args):
     return 0
 
 
-def _load_param(spec, path):
+def _load_param(path):
+    """The --param file: a JSON object whose "dim", if given, is a positive
+    integer; anything else raises InvalidInput."""
     if path is None:
         return {"dim": 1}
-    return serialize.read_json(path)
+    param = serialize.read_json(path)
+    if not isinstance(param, dict):
+        raise InvalidInput(f"{path}: a parameter file holds a JSON object")
+    dim = param.get("dim")
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0):
+        raise InvalidInput(f"{path}: \"dim\" must be a positive integer, not {dim!r}")
+    return param
 
 
 def cmd_build(args):
@@ -169,7 +188,7 @@ def cmd_build(args):
     word = serialize.parse_word_argument(pres, args.word)
     desc = _descriptor_of(pres, word)
     spec = walks.rw_descriptor(pres, desc)
-    param = _load_param(spec, args.param)
+    param = _load_param(args.param)
     field = pres.field
     lam = phi = None
     if "lambda" in param:

@@ -27,6 +27,7 @@ from .linalg import (
     _rref_ints,
     _unpack,
     combine,
+    contract_vector,
     frob_matrix,
     join_rows,
     k_rref,
@@ -34,9 +35,9 @@ from .linalg import (
     mat_identity,
     mat_is_zero,
     mat_mul,
-    mat_vec,
     mult_matrix,
     pack_matrix,
+    packed_nullspace,
     poly_eval_matrix,
     prime_matrix,
     rref,
@@ -136,74 +137,64 @@ def hom_space(m1, m2):
 
     The intertwining condition M_a @ T_{h(a)} = sigma_a(T_{t(a)}) @ N_a is
     F_p-linear in the entries of the T's, so the solution space is an
-    F_p-space; its basis is returned as per-vertex K-matrices.
+    F_p-space; its canonical reduced basis is returned as per-vertex
+    K-matrices.  Each unknown (a prime coordinate of one T entry) is one
+    packed row: its image M_a @ T_h - sigma_a(T_t) @ N_a in the equation
+    coordinates.  A loop puts both terms in one slot, so they go through
+    ``combine``.
     """
     if m1.pres is not m2.pres:
         raise PresentationMismatch("modules live over different presentations")
     pres = m1.pres
     field = pres.field
     p, n = field.p, field.n
-    offsets = {}
-    total = 0
+    d1, d2 = m1.dims, m2.dims
+    bits = slot_bits(p)
+    # unknown (v, i, j, c) is coordinate unk[v] + (i * d2[v] + j) * n + c;
+    # equation (a, i, j, c) is slot eq[a] + (i * d2[h(a)] + j) * n + c
+    unk, eq = {}, {}
+    nunk = neq = 0
     for v in pres.vertices:
-        offsets[v] = total
-        total += m1.dims[v] * m2.dims[v] * n
-    if total == 0:
-        return HomSpace(m1, m2, [])
-
-    equations = []
+        unk[v] = nunk
+        nunk += d1[v] * d2[v] * n
     for name in pres.arrow_names:
-        info = pres.arrows[name]
-        sigma = pres.sigma(name)
-        ma, na = m1.mats[name], m2.mats[name]
-        rows_eq = m1.dims[info.source] * m2.dims[info.target] * n
-        if rows_eq == 0:
-            continue
-        # unknown block T_h contributes M_a @ T_h; block T_t contributes
-        # -sigma_a(T_t) @ N_a; assemble per prime-field coordinate
-        for out_i in range(m1.dims[info.source]):
-            for out_j in range(m2.dims[info.target]):
-                for out_c in range(n):
-                    row = [0] * total
-                    # (M_a @ T_h)[out_i][out_j] coordinate out_c
-                    for k in range(m1.dims[info.target]):
-                        coef = ma.rows[out_i][k]
-                        if not coef:
-                            continue
-                        rm = mult_matrix(field, coef)
-                        base = offsets[info.target] + (k * m2.dims[info.target] + out_j) * n
-                        for cc in range(n):
-                            row[base + cc] = (row[base + cc] + rm[cc][out_c]) % p
-                    # -(sigma(T_t) @ N_a)[out_i][out_j]
-                    for k in range(m2.dims[info.source]):
-                        coef = na.rows[k][out_j]
-                        if not coef:
-                            continue
-                        rm = mult_matrix(field, coef)
-                        fm = frob_matrix(field, sigma.k)
-                        base = offsets[info.source] + (out_i * m2.dims[info.source] + k) * n
-                        for cc in range(n):
-                            # coordinate cc of T entry passes through frobenius
-                            # then multiplication by coef
-                            vec = mat_vec(rm, fm[cc], p)
-                            row[base + cc] = (row[base + cc] - vec[out_c]) % p
-                    equations.append(row)
-    if equations:
-        sols = left_nullspace([list(c) for c in zip(*equations)], p, width=len(equations))
-    else:
-        sols = [[1 if i == j else 0 for j in range(total)] for i in range(total)]
+        eq[name] = neq
+        neq += d1[pres.arrows[name].source] * d2[pres.arrows[name].target] * n
+    coeffs = [[] for _ in range(nunk)]
+    terms = [[] for _ in range(nunk)]
+    for name in pres.arrow_names:
+        t, h = pres.arrows[name].source, pres.arrows[name].target
+        # M_a @ T_h: T_h[i][j] reaches equation (i', j) through M_a[i'][i]
+        for out_i, mrow in enumerate(m1.mats[name].rows):
+            for i, coef in enumerate(mrow):
+                if coef:
+                    for j in range(d2[h]):
+                        u = unk[h] + (i * d2[h] + j) * n
+                        shift = bits * (eq[name] + (out_i * d2[h] + j) * n)
+                        for c, row in enumerate(mult_matrix(field, coef)):
+                            coeffs[u + c].append(1)
+                            terms[u + c].append(row << shift)
+        # -sigma_a(T_t) @ N_a: T_t[i][j] reaches equation (i, j') through N_a[j][j']
+        fm = frob_matrix(field, pres.sigma(name).k)
+        for j, nrow in enumerate(m2.mats[name].rows):
+            for out_j, coef in enumerate(nrow):
+                if coef:
+                    block = mat_mul(fm, mult_matrix(field, coef), p)
+                    for i in range(d1[t]):
+                        u = unk[t] + (i * d2[t] + j) * n
+                        shift = bits * (eq[name] + (i * d2[h] + out_j) * n)
+                        for c, row in enumerate(block):
+                            coeffs[u + c].append(p - 1)
+                            terms[u + c].append(row << shift)
+    images = [combine(cs, ts, p) for cs, ts in zip(coeffs, terms)]
     basis = []
-    for s in sols:
+    for sol in packed_nullspace(images, p, neq).rows:
         per_vertex = {}
         for v in pres.vertices:
-            rows = []
-            for i in range(m1.dims[v]):
-                row = []
-                for j in range(m2.dims[v]):
-                    base = offsets[v] + (i * m2.dims[v] + j) * n
-                    row.append(field.el(list(s[base : base + n])))
-                rows.append(row)
-            per_vertex[v] = Matrix(field, rows, m1.dims[v], m2.dims[v])
+            width = d2[v] * n
+            at = [unk[v] + i * width for i in range(d1[v])]
+            rows = [contract_vector(field, sol[a : a + width]) for a in at]
+            per_vertex[v] = Matrix(field, rows, d1[v], d2[v])
         basis.append(per_vertex)
     return HomSpace(m1, m2, basis)
 
@@ -216,7 +207,7 @@ def compose_morphisms(first, then):
 def _packed_morphism(m, field):
     """Per-vertex packed prime-field matrices of a morphism."""
     ident = Aut(field, 0)
-    return {v: pack_matrix(prime_matrix(field, ident, mat), field.p) for v, mat in m.items()}
+    return {v: prime_matrix(field, ident, mat) for v, mat in m.items()}
 
 
 def morphism_invertible(m):
@@ -235,26 +226,20 @@ class EndAlgebra:
 
     def __init__(self, rep):
         self.rep = rep
-        field = rep.field
-        self.p = field.p
-        hs = hom_space(rep, rep)
+        self.p = rep.field.p
         self.amb = rep.prime_dim()
-        offsets = {}
-        total = 0
-        for v in rep.pres.vertices:
-            offsets[v] = total
-            total += rep.dims[v] * field.n
-        self.offsets = offsets
-        self.flats = [join_rows(self._flatten(b), self.p, self.amb) for b in hs.basis]
+        basis = hom_space(rep, rep).basis
+        self.flats = [join_rows(self._flatten(b), self.p, self.amb) for b in basis]
         self.dim = len(self.flats)
 
     def _flatten(self, per_vertex):
+        """A morphism as one block-diagonal packed matrix, vertex by vertex."""
         bits = slot_bits(self.p)
-        out = [0] * self.amb
-        for v, rows in _packed_morphism(per_vertex, self.rep.field).items():
-            base = self.offsets[v]
-            for i, row in enumerate(rows):
-                out[base + i] = row << (bits * base)
+        packed = _packed_morphism(per_vertex, self.rep.field)
+        out = []
+        for v in self.rep.pres.vertices:
+            base = len(out)
+            out += [row << (bits * base) for row in packed[v]]
         return out
 
     def element(self, coeffs):
@@ -265,10 +250,8 @@ class EndAlgebra:
 
     def coords(self, mat):
         """Coordinates of an endomorphism matrix (packed rows) in the hom basis."""
-        width = self.amb * self.amb
         flats = self.flats + [join_rows(mat, self.p, self.amb)]
-        sols = left_nullspace([_unpack(f, self.p, width) for f in flats], self.p, width=width)
-        for s in sols:
+        for s in packed_nullspace(flats, self.p, self.amb * self.amb).rows:
             if s[-1] % self.p:
                 inv = pow(s[-1], self.p - 2, self.p)
                 return [(-inv * c) % self.p for c in s[:-1]]
@@ -343,7 +326,7 @@ def radical_basis(alg):
     power = 1
     while power <= nn and basis:
         if power == 1:
-            rows = _trace_form(alg)
+            gram = _trace_form(alg)
         else:
             mats = [alg.element(b) for b in basis]
             rows = [[0] * len(mats) for _ in mats]
@@ -352,7 +335,8 @@ def radical_basis(alg):
                     z = mat_mul(x, mats[j], p)
                     if not _is_nilpotent(z, p):  # else every lower coefficient is 0
                         rows[i][j] = rows[j][i] = charpoly(unpack_matrix(z, p, nn), p)[nn - power]
-        null = left_nullspace(rows, p, width=len(basis))
+            gram = pack_matrix(rows, p)
+        null = packed_nullspace(gram, p, len(basis)).rows
         basis = [_combine(basis, c, p) for c in null]
         basis = [b for b in basis if any(b)]
         power *= p
@@ -371,12 +355,12 @@ def _is_nilpotent(z, p):
 
 
 def _trace_form(alg):
-    """Gram matrix tr(x_i x_j) on the hom basis: tr(xy) pairs the joined
-    rows of x with those of y's transpose, so it is one product."""
+    """Gram matrix tr(x_i x_j) on the hom basis, as packed rows: tr(xy) pairs
+    the joined rows of x with those of y's transpose, so it is one product."""
     nn = alg.amb
     cols = transpose(alg.flats, alg.p, nn * nn)
     swapped = [cols[b * nn + a] for a in range(nn) for b in range(nn)]
-    return unpack_matrix(mat_mul(alg.flats, swapped, alg.p), alg.p, alg.dim)
+    return mat_mul(alg.flats, swapped, alg.p)
 
 
 def _combine(basis, coeffs, p):

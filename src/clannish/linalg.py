@@ -11,8 +11,12 @@ int with coordinate j in slot j, ``slot_bits(p)`` bits wide (1 bit for p = 2;
 for odd p the least multiple of 8 with p*p < 2**bits, so bytes for
 p <= 13).  One Gauss-Jordan kernel, ``_rref_ints``, eliminates them: XOR for
 p = 2, and for odd p multiply-adds that reduce a row mod p only before a slot
-could carry.  F_p matrices (the oracle's endomorphisms) are lists of such
-rows, multiplied by ``mat_mul`` under the same rule.
+could carry.  Every F_p matrix is a list of such rows, multiplied by
+``mat_mul`` under the same rule: K-multiplication, Frobenius and semilinear
+maps (``mult_matrix``, ``frob_matrix``, ``prime_matrix``), relation graphs,
+and the oracle's endomorphisms and Hom equations.  Entries are read back only
+where a routine needs them one by one, and in the tuple API of ``rref`` and
+``left_nullspace``.
 """
 
 from __future__ import annotations
@@ -458,13 +462,14 @@ def eliminate_block(p, rows, width, ambient, seed=()):
     )
 
 
-def mat_vec(rows, v, p):
-    """Row vector v times an F_p matrix given as a list of rows."""
-    out = [0] * (len(rows[0]) if rows else 0)
-    for x, row in zip(v, rows):
-        if x:
-            out = [(acc + x * y) % p for acc, y in zip(out, row)]
-    return out
+def packed_nullspace(rows, p, width, extra=0):
+    """The subspace {c : c @ rows vanishes on the first ``width`` columns}
+    for packed rows with ``width + extra`` columns.  Each basis vector
+    carries the last ``extra`` columns of c @ rows before c."""
+    bits = slot_bits(p)
+    shift = bits * (width + extra)
+    aug = [v | (1 << (shift + bits * i)) for i, v in enumerate(rows)]
+    return eliminate_block(p, aug, width, extra + len(rows))
 
 
 def left_nullspace(rows, p, width=None):
@@ -476,9 +481,8 @@ def left_nullspace(rows, p, width=None):
     if width is None:
         width = len(rows[0]) if rows else 0
     ncols = len(rows[0]) if rows else width
-    bits = slot_bits(p)
-    aug = [_pack(r, p, ncols) | (1 << (bits * (ncols + i))) for i, r in enumerate(rows)]
-    return list(eliminate_block(p, aug, width, ncols + len(rows) - width).rows)
+    packed = [_pack(r, p, ncols) for r in rows]
+    return list(packed_nullspace(packed, p, width, ncols - width).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -578,30 +582,24 @@ def poly_eval_matrix(poly, x, p):
 
 
 def mult_matrix(field, lam):
-    """F_p matrix of y -> y*lam on coefficient row vectors."""
+    """Packed F_p matrix of y -> y*lam on coefficient row vectors."""
     lam = field.el(lam)
     cache = field._mult_matrices
     hit = cache.get(lam.coeffs)
     if hit is None:
-        rows = []
-        for j in range(field.n):
-            basis = field.el([0] * j + [1])
-            rows.append(list((basis * lam).coeffs))
-        hit = cache[lam.coeffs] = rows
+        rows = [(field.el([0] * j + [1]) * lam).coeffs for j in range(field.n)]
+        hit = cache[lam.coeffs] = pack_matrix(rows, field.p)
     return hit
 
 
 def frob_matrix(field, k):
-    """F_p matrix of the k-th Frobenius power on coefficient row vectors."""
+    """Packed F_p matrix of the k-th Frobenius power on coefficient row vectors."""
     k %= field.n
     cache = field._frob_matrices
     hit = cache.get(k)
     if hit is None:
-        rows = []
-        for j in range(field.n):
-            basis = field.el([0] * j + [1])
-            rows.append(list(Aut(field, k)(basis).coeffs))
-        hit = cache[k] = rows
+        rows = [Aut(field, k)(field.el([0] * j + [1])).coeffs for j in range(field.n)]
+        hit = cache[k] = pack_matrix(rows, field.p)
     return hit
 
 
@@ -618,47 +616,37 @@ def contract_vector(field, pvec):
 
 
 def prime_matrix(field, sigma, kmatrix):
-    """F_p matrix (row convention) of the semilinear map v -> sigma(v) @ kmatrix."""
-    n = field.n
+    """Packed F_p matrix (row convention) of the semilinear map
+    v -> sigma(v) @ kmatrix.  Block (i, j) is Frobenius then multiplication
+    by entry (i, j); the blocks of a row band fill disjoint slots."""
+    n, p = field.n, field.p
     fm = frob_matrix(field, sigma.k)
-    d, e = kmatrix.nrows, kmatrix.ncols
-    out = [[0] * (e * n) for _ in range(d * n)]
-    for i in range(d):
-        for j in range(e):
-            entry = kmatrix.rows[i][j]
-            if not entry:
-                continue
-            rm = mult_matrix(field, entry)
-            # block (i, j) = frobenius then multiply-by-entry
-            block = [mat_vec(rm, frow, field.p) for frow in fm]
-            for a in range(n):
-                row = out[i * n + a]
-                brow = block[a]
-                for b in range(n):
-                    row[j * n + b] = (row[j * n + b] + brow[b]) % field.p
+    shift = slot_bits(p) * n
+    out = [0] * (kmatrix.nrows * n)
+    for i, krow in enumerate(kmatrix.rows):
+        for j, entry in enumerate(krow):
+            if entry:
+                block = mat_mul(fm, mult_matrix(field, entry), p)
+                for a, brow in enumerate(block):
+                    out[i * n + a] |= brow << (shift * j)
     return out
 
 
 def scalar_block_matrix(field, lam, blocks):
-    """Block-diagonal F_p matrix acting as multiplication by lam on K^blocks."""
-    n = field.n
+    """Packed block-diagonal F_p matrix acting as multiplication by lam on
+    K^blocks."""
+    shift = slot_bits(field.p) * field.n
     rm = mult_matrix(field, lam)
-    out = [[0] * (blocks * n) for _ in range(blocks * n)]
-    for b in range(blocks):
-        for a in range(n):
-            for c in range(n):
-                out[b * n + a][b * n + c] = rm[a][c]
-    return out
+    return [row << (shift * b) for b in range(blocks) for row in rm]
 
 
-def is_k_stable(field, space, gen_matrix=None):
-    """Whether a prime-field subspace is stable under the K-action."""
+def is_k_stable(field, space):
+    """Whether a prime-field subspace is stable under the K-action: the
+    multiplicative generator maps its basis back into it."""
     if space.dim == 0:
         return True
-    blocks = space.ambient // field.n
-    if gen_matrix is None:
-        gen_matrix = scalar_block_matrix(field, field.multiplicative_generator(), blocks)
-    return all(space.contains(mat_vec(gen_matrix, list(r), field.p)) for r in space.rows)
+    gen = scalar_block_matrix(field, field.multiplicative_generator(), space.ambient // field.n)
+    return space._spans(mat_mul(space.packed(), gen, field.p))
 
 
 def k_dim(field, space):

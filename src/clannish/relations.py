@@ -14,8 +14,9 @@ from .errors import NotStabilized, SpaceMismatch
 from .fields import Aut
 from .linalg import (
     Subspace,
+    combine,
     eliminate_block,
-    mat_vec,
+    mat_mul,
     prime_matrix,
     scalar_block_matrix,
     slot_bits,
@@ -48,25 +49,22 @@ class SemilinearRelation:
 
     @classmethod
     def graph(cls, field, sigma, kmatrix):
-        """The graph of the semilinear map v -> sigma(v) @ kmatrix."""
+        """The graph of the semilinear map v -> sigma(v) @ kmatrix.  Its rows
+        (e_i, row i of the map) are already the canonical reduced basis."""
         pm = prime_matrix(field, sigma, kmatrix)
         sp, tp = kmatrix.nrows * field.n, kmatrix.ncols * field.n
-        rows = []
-        for i in range(sp):
-            e = [0] * sp
-            e[i] = 1
-            rows.append(e + list(pm[i]))
-        return cls(field, sigma, kmatrix.nrows, kmatrix.ncols, Subspace(field.p, sp + tp, rows))
+        bits = slot_bits(field.p)
+        rows = [(1 << (bits * i)) | (r << (bits * sp)) for i, r in enumerate(pm)]
+        space = Subspace._reduced(field.p, sp + tp, range(sp), rows)
+        return cls(field, sigma, kmatrix.nrows, kmatrix.ncols, space)
 
     @classmethod
     def identity(cls, field, d):
-        n = field.n
-        rows = []
-        for i in range(d * n):
-            e = [0] * (d * n)
-            e[i] = 1
-            rows.append(e + e)
-        return cls(field, Aut(field, 0), d, d, Subspace(field.p, 2 * d * n, rows))
+        dn = d * field.n
+        bits = slot_bits(field.p)
+        rows = [(1 << (bits * i)) | (1 << (bits * (dn + i))) for i in range(dn)]
+        space = Subspace._reduced(field.p, 2 * dn, range(dn), rows)
+        return cls(field, Aut(field, 0), d, d, space)
 
     @classmethod
     def zero(cls, field, src, tgt):
@@ -140,17 +138,15 @@ class SemilinearRelation:
         sp, tp = self._pdims()
         if sp != tp:
             raise SpaceMismatch("q-bound test needs an endo-relation")
-        d = self.src
-        bm = scalar_block_matrix(self.field, q.beta, d)
-        gm = scalar_block_matrix(self.field, q.gamma, d)
-        for r in self.space.rows:
-            v, w = list(r[:sp]), list(r[sp:])
-            bw = mat_vec(bm, w, self.p)
-            gv = mat_vec(gm, v, self.p)
-            cand = w + [(x - y) % self.p for x, y in zip(bw, gv)]
-            if not self.space.contains(cand):
-                return False
-        return True
+        d, p = self.src, self.p
+        shift = slot_bits(p) * sp
+        vs = [r & ((1 << shift) - 1) for r in self.space.packed()]
+        ws = [r >> shift for r in self.space.packed()]
+        bws = mat_mul(ws, scalar_block_matrix(self.field, q.beta, d), p)
+        gvs = mat_mul(vs, scalar_block_matrix(self.field, q.gamma, d), p)
+        return self.space._spans(
+            [w | (combine((1, p - 1), (bw, gv), p) << shift) for w, bw, gv in zip(ws, bws, gvs)]
+        )
 
 
 def _iterate(rel, start):

@@ -182,7 +182,7 @@ def matrix_to_json(mat):
 
 
 def matrix_from_json(field, data, nrows=None, ncols=None):
-    rows = [[element_from_json(field, x) for x in row] for row in data]
+    rows = [[element_from_json(field, x) for x in row] for row in _items(data, list, "a matrix")]
     return Matrix(field, rows, nrows if rows == [] else None, ncols if rows == [] else None)
 
 

@@ -174,6 +174,15 @@ BAD_INPUTS = {
         None,
         "InvalidInput",
     ),
+    **{
+        f"modulus {modulus}": (
+            ["quadratic", "--p", "2", "--n", "2", "--beta", "1", "--gamma", "1"]
+            + ["--modulus", modulus],
+            None,
+            "InvalidInput modulus",
+        )
+        for modulus in ("[1,1", "5", '[1,"a",1]')
+    },
 }
 
 
@@ -232,6 +241,33 @@ def test_non_positive_bounds_are_invalid(tmp_path, capsys, argv):
     module.write_text(json.dumps(_e1_module()))
     code, out = _main(capsys, *(a.format(module=module) for a in argv))
     assert code == 1 and out["error"]["type"] == "InvalidInput"
+
+
+@pytest.mark.parametrize(
+    "word, param",
+    [
+        ("(s*.a)", [1]),
+        ("(s*.a)", {"dim": "x"}),
+        ("(s*.a)", {"lambda": 5}),
+        ("(s*.a)", {"dim": 0}),
+        ("(s*.a)", {"dim": -2}),
+        ("s*.a.s*", {"dim": 0}),
+        ("s*.a.s*", {"dim": True}),
+    ],
+)
+def test_bad_param_file_is_invalid_input(tmp_path, capsys, word, param):
+    path = tmp_path / "param.json"
+    path.write_text(json.dumps(param))
+    code, out = _main(capsys, "build", "example:E1", "--word", word, "--param", path)
+    assert code == 1 and out["error"]["type"] == "InvalidInput"
+
+
+def test_param_file_dim_builds_that_many_copies(tmp_path, capsys):
+    path = tmp_path / "param.json"
+    path.write_text(json.dumps({"dim": 2}))
+    code, out = _main(capsys, "build", "example:E1", "--word", "s*.a.s*", "--param", path)
+    _, one = _main(capsys, "build", "example:E1", "--word", "s*.a.s*")
+    assert code == 0 and out["dims"] == {"1": 2 * one["dims"]["1"]}
 
 
 def test_bad_seed_is_invalid_input(tmp_path, capsys, monkeypatch):

@@ -10,9 +10,11 @@ from clannish.linalg import (
     contract_vector,
     expand_vector,
     left_nullspace,
-    mat_vec,
+    mat_mul,
+    pack_matrix,
     prime_matrix,
     rref,
+    unpack_matrix,
 )
 
 
@@ -110,7 +112,8 @@ def test_prime_matrix_matches_semilinear_action(F4, F9):
             for _ in range(5):
                 v = tuple(rng.choice(elems) for _ in range(2))
                 direct = km.apply_row(tuple(sigma(x) for x in v))
-                via_prime = mat_vec(pm, expand_vector(f, v), f.p)
+                prod = mat_mul(pack_matrix([expand_vector(f, v)], f.p), pm, f.p)
+                [via_prime] = unpack_matrix(prod, f.p, km.ncols * f.n)
                 assert contract_vector(f, via_prime) == direct
 
 
