@@ -186,7 +186,7 @@ def _load_param(path):
 def cmd_build(args):
     pres = load_presentation(args.presentation)
     word = serialize.parse_word_argument(pres, args.word)
-    desc = _descriptor_of(pres, word)
+    desc = words.descriptor_of(pres, word)
     spec = walks.rw_descriptor(pres, desc)
     param = _load_param(args.param)
     field = pres.field
@@ -207,21 +207,10 @@ def cmd_build(args):
     return 0
 
 
-def _descriptor_of(pres, word):
-    if word.shape == "zper":
-        inv = words.invert_word(pres, word)
-        symmetric = any(
-            words.shift_word(pres, word, d).period == inv.period
-            for d in range(len(word.period))
-        )
-        return words.BandDescriptor(word, symmetric)
-    return words.StringDescriptor(word, word == words.invert_word(pres, word))
-
-
 def cmd_fdim(args):
     rep = load_module(args.module, args.presentation)
     word = serialize.parse_word_argument(rep.pres, args.word)
-    desc = _descriptor_of(rep.pres, word)
+    desc = words.descriptor_of(rep.pres, word)
     report = filtration.f_dim(rep, desc)
     emit(
         args,

@@ -181,29 +181,17 @@ def candidate_descriptors(pres, dim, max_len=None, max_period=None):
     hit = pres._descriptors.get(key)
     if hit is not None:
         return hit
-    has_special = bool(pres.special)
     asym_len = dim - 1 if max_len is None else max_len
-    sym_len = 2 * dim - 1 if max_len is None else max_len
     band_per = dim if max_period is None else max_period
-    sym_per = 2 * dim if max_period is None else max_period
-    descs = []
-    seen = set()
-    for d in words_mod.enumerate_strings(pres, asym_len):
-        descs.append(d)
-        seen.add(words_mod.word_key(pres, d.word))
-    if has_special and sym_len > asym_len:
-        for d in words_mod.enumerate_strings(pres, sym_len):
-            if d.symmetric and words_mod.word_key(pres, d.word) not in seen:
-                descs.append(d)
-                seen.add(words_mod.word_key(pres, d.word))
-    for d in words_mod.enumerate_bands(pres, band_per):
-        descs.append(d)
-        seen.add(words_mod.word_key(pres, d.word))
-    if has_special and sym_per > band_per:
-        for d in words_mod.enumerate_bands(pres, sym_per):
-            if d.symmetric and words_mod.word_key(pres, d.word) not in seen:
-                descs.append(d)
-                seen.add(words_mod.word_key(pres, d.word))
+    sym_len = 2 * dim - 1 if max_len is None and pres.special else asym_len
+    sym_per = 2 * dim if max_period is None and pres.special else band_per
+    # one enumeration each, at the symmetric bound: both lists are sorted by
+    # length first, so the asymmetric words keep their place ahead of the
+    # longer symmetric ones
+    strings = words_mod.enumerate_strings(pres, sym_len)
+    bands = words_mod.enumerate_bands(pres, sym_per)
+    descs = [d for d in strings if d.symmetric or len(d.word.letters) <= asym_len]
+    descs += [d for d in bands if d.symmetric or len(d.word.period) <= band_per]
     pres._descriptors[key] = descs
     return descs
 

@@ -10,7 +10,7 @@ from .fields import make_field
 from .linalg import Matrix
 from .presentation import ArrowInfo, Letter, validate
 from .reps import Representation
-from .words import Word, validate_word
+from .words import Word, finite_word, periodic_word
 
 
 def read_json(path):
@@ -147,9 +147,14 @@ def letter_to_json(letter):
 
 
 def letter_from_json(data):
+    """A letter: {"star": name} or {"arrow": name, "dir": "dir" | "inv"}."""
     if "star" in data:
-        return Letter("s", data["star"])
-    return Letter("d" if data.get("dir", "dir") == "dir" else "i", data["arrow"])
+        return Letter("s", _key(data, "star", str))
+    name = _key(data, "arrow", str)
+    direction = _key(data, "dir", str, "dir")
+    if direction not in ("dir", "inv"):
+        raise InvalidInput(f"a letter's \"dir\" is \"dir\" or \"inv\", not {direction!r}")
+    return Letter("d" if direction == "dir" else "i", name)
 
 
 def word_to_json(w):
@@ -164,17 +169,25 @@ def word_to_json(w):
 
 
 def word_from_json(pres, data):
-    letters = tuple(letter_from_json(l) for l in data.get("letters", []))
-    _check_names(pres, letters, None if letters else data["v0"])
-    if data.get("period"):
-        if int(data["period"]) != len(letters):
-            raise InvalidInput("period must equal the number of letters given")
-        w = Word("zper", pres.head(letters[0]), pres.sign(letters[0]), (), letters)
-    else:
-        v0 = data["v0"] if not letters else pres.head(letters[0])
-        eps = int(data["sign"]) if not letters else pres.sign(letters[0])
-        w = Word("finite", v0, eps, letters)
-    return validate_word(pres, w)
+    """A word from its JSON encoding; a missing or wrongly typed key raises
+    InvalidInput naming it."""
+    letters = tuple(
+        letter_from_json(l) for l in _items(_key(data, "letters", list, []), dict, "key 'letters'")
+    )
+    if not letters:
+        v0 = _key(data, "v0", str)
+        _check_names(pres, (), v0)
+        return finite_word(pres, v0, _key(data, "sign", int), ())
+    _check_names(pres, letters)
+    start = (pres.head(letters[0]), pres.sign(letters[0]))
+    if (_key(data, "v0", str, start[0]), _key(data, "sign", int, start[1])) != start:
+        raise InvalidInput(f"the first letter starts at vertex {start[0]} with sign {start[1]:+d}")
+    period = _key(data, "period", int, 0)
+    if period and period != len(letters):
+        raise InvalidInput("period must equal the number of letters given")
+    if period:
+        return periodic_word(pres, letters)
+    return finite_word(pres, pres.head(letters[0]), pres.sign(letters[0]), letters)
 
 
 def matrix_to_json(mat):
@@ -258,9 +271,11 @@ def word_to_compact(w):
 def word_from_compact(pres, text):
     text = text.strip()
     if text.startswith("e:"):
-        _, v0, sign = text.split(":")
-        _check_names(pres, (), v0)
-        return Word("finite", v0, 1 if sign == "+" else -1, ())
+        parts = text.split(":")
+        if len(parts) != 3 or parts[2] not in ("+", "-"):
+            raise InvalidInput(f"a trivial word is spelled e:VERTEX:+ or e:VERTEX:-, not {text!r}")
+        _check_names(pres, (), parts[1])
+        return Word("finite", parts[1], 1 if parts[2] == "+" else -1, ())
     periodic = text.startswith("(") and text.endswith(")")
     if periodic:
         text = text[1:-1]
@@ -276,17 +291,20 @@ def word_from_compact(pres, text):
     letters = tuple(letters)
     _check_names(pres, letters)
     if periodic:
-        w = Word("zper", pres.head(letters[0]), pres.sign(letters[0]), (), letters)
-    else:
-        w = Word("finite", pres.head(letters[0]), pres.sign(letters[0]), letters)
-    return validate_word(pres, w)
+        return periodic_word(pres, letters)
+    return finite_word(pres, pres.head(letters[0]), pres.sign(letters[0]), letters)
 
 
 def parse_word_argument(pres, text):
-    """Accept a compact spelling, inline JSON, or @path-to-JSON."""
+    """Accept a compact spelling, inline JSON, or @path-to-JSON; a word that
+    does not parse raises InvalidInput."""
     text = text.strip()
     if text.startswith("@"):
         return word_from_json(pres, read_json(text[1:]))
     if text.startswith("{"):
-        return word_from_json(pres, json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise InvalidInput(f"--word {text!r} is not a JSON document: {exc}") from exc
+        return word_from_json(pres, data)
     return word_from_compact(pres, text)

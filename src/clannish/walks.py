@@ -299,7 +299,7 @@ def rw_descriptor(pres, desc):
     w = desc.word
     if not words_mod.is_relation_admissible(pres, w):
         raise PreconditionViolated("word is not relation-admissible")
-    if w.shape == "zper" and not words_mod._is_primitive(w.period):
+    if w.shape == "zper" and not words_mod.band_shape(w.period).primitive:
         raise PreconditionViolated("band block must have minimal period")
     walk = canonical_walk(pres, w)
     if isinstance(desc, StringDescriptor):

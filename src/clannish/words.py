@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     NonConcatenable,
@@ -142,10 +143,14 @@ def invert_word(pres, w):
         v0 = pres.tail(w.letters[-1])
         return Word("finite", v0, pres.sign(letters[0]), letters)
     if w.shape == "zper":
-        m = len(w.period)
-        block = tuple(w.period[(-j - 2) % m].inverse() for j in range(m))
+        block = _band_inverse_block(w.period)
         return Word("zper", pres.head(block[0]), pres.sign(block[0]), (), block)
     raise NonConcatenable("cannot invert a one-sided infinite word")
+
+
+def _band_inverse_block(block):
+    m = len(block)
+    return tuple(block[(-j - 2) % m].inverse() for j in range(m))
 
 
 def shift_word(pres, w, d):
@@ -243,29 +248,26 @@ def _relation_patterns(pres):
     return pats
 
 
-def _contains_pattern(seq, pats):
-    if not pats:
-        return False
-    maxlen = max(len(p) for p in pats)
-    for i in range(len(seq)):
-        for k in range(2, maxlen + 1):
-            if i + k <= len(seq) and tuple(seq[i : i + k]) in pats:
+def _hits_pattern(seq, pats, start=0):
+    """Whether a window of seq that ends at index ``start`` or later (a slice
+    end) spells a zero relation.  Windows run from length 2 up to the longest
+    relation, so ``start=len(seq)`` tests the suffixes alone."""
+    longest = max(map(len, pats), default=0)
+    for end in range(max(start, 2), len(seq) + 1):
+        for k in range(2, min(end, longest) + 1):
+            if tuple(seq[end - k : end]) in pats:
                 return True
     return False
 
 
 def is_relation_admissible(pres, w):
     pats = _relation_patterns(pres)
-    if not pats:
-        return True
-    maxlen = max(len(p) for p in pats)
-    if w.shape == "finite":
-        return not _contains_pattern(list(w.letters), pats)
-    if w.shape == "zper":
-        reps = -(-(maxlen) // len(w.period)) + 1
-        return not _contains_pattern(list(w.period) * reps, pats)
-    reps = -(-(maxlen) // len(w.period)) + 1
-    return not _contains_pattern(list(w.letters) + list(w.period) * reps, pats)
+    seq = w.letters
+    if w.shape != "finite":
+        # enough periods that every window starting in the first one fits
+        longest = max(map(len, pats), default=0)
+        seq += w.period * (-(-longest // len(w.period)) + 1)
+    return not _hits_pattern(seq, pats)
 
 
 def is_right_end_admissible(pres, w):
@@ -393,21 +395,8 @@ class BandDescriptor:
 
 
 def word_key(pres, w):
-    if w.shape == "finite":
-        return (
-            "finite",
-            len(w.letters),
-            tuple(l.key() for l in w.letters),
-            w.v0,
-            0 if w.eps == 1 else 1,
-        )
-    return (
-        w.shape,
-        len(w.period),
-        tuple(l.key() for l in w.period),
-        w.v0,
-        0 if w.eps == 1 else 1,
-    )
+    letters = w.letters if w.shape == "finite" else w.period
+    return (w.shape, len(letters), tuple(l.key() for l in letters), w.v0, 0 if w.eps == 1 else 1)
 
 
 def canonical_string_word(pres, w):
@@ -439,21 +428,20 @@ def _extensions(pres, last):
     ]
 
 
-def _suffix_hits_pattern(seq, pats):
-    for k in range(2, len(seq) + 1):
-        if tuple(seq[-k:]) in pats:
-            return True
-    return False
-
-
 def enumerate_strings(pres, max_len):
-    """Canonical representatives of all strings of length <= max_len."""
+    """Canonical representatives of all strings of length <= max_len: only
+    the trivial strings when max_len is 0, and none when it is negative."""
+    if max_len < 0:
+        return []
     pats = _relation_patterns(pres)
-    found = {}
+    found = []
 
     def emit(word):
-        cw = canonical_string_word(pres, word)
-        found.setdefault(word_key(pres, cw), cw)
+        # every letter sequence is generated once, and so is its inverse:
+        # keep the word when it sorts no later than its inverse
+        key, inverse_key = word_key(pres, word), word_key(pres, invert_word(pres, word))
+        if key <= inverse_key:
+            found.append((key, StringDescriptor(word, symmetric=key == inverse_key)))
 
     for v in sorted(pres.vertices):
         if not pres.specials_at(v):
@@ -483,51 +471,64 @@ def enumerate_strings(pres, max_len):
             return
         for letter in _extensions(pres, seq[-1]):
             seq.append(letter)
-            if not _suffix_hits_pattern(seq, pats) and interior_ok(seq):
+            if interior_ok(seq) and not _hits_pattern(seq, pats, len(seq)):
                 rec(v0, eps, seq)
             seq.pop()
 
-    for v0 in sorted(pres.vertices):
-        for eps in (1, -1):
-            for letter in _first_letters(pres, v0, eps):
-                seq = [letter]
-                if not _suffix_hits_pattern(seq, pats):
-                    rec(v0, eps, seq)
+    if max_len >= 1:
+        for v0 in sorted(pres.vertices):
+            for eps in (1, -1):
+                for letter in _first_letters(pres, v0, eps):
+                    rec(v0, eps, [letter])
 
-    words = sorted(found.values(), key=lambda w: word_key(pres, w))
-    return [
-        StringDescriptor(w, symmetric=(w == invert_word(pres, w))) for w in words
-    ]
+    return [d for _, d in sorted(found, key=lambda kd: kd[0])]
 
 
-def _rotations(block):
+class BandShape(NamedTuple):
+    canonical: tuple
+    primitive: bool
+    symmetric: bool
+
+
+def band_shape(block):
+    """The canonical block of a band block, and whether it is primitive and
+    symmetric.
+
+    The canonical block is the least rotation of the block or of its band
+    inverse in ``Letter.key`` order; rotations are compared as tuples of
+    letter ranks.  The block is primitive when no proper rotation fixes it,
+    and symmetric when its band inverse is one of its rotations.
+    """
     m = len(block)
-    return [tuple(block[(j + d) % m] for j in range(m)) for d in range(m)]
-
-
-def _band_inverse_block(block):
-    m = len(block)
-    return tuple(block[(-j - 2) % m].inverse() for j in range(m))
-
-
-def _is_primitive(block):
-    m = len(block)
-    for d in range(1, m):
-        if m % d == 0 and all(block[j] == block[(j + d) % m] for j in range(m)):
-            return False
-    return True
+    inverse = _band_inverse_block(block)
+    letters = sorted(set(block + inverse), key=Letter.key)
+    rank = {l: r for r, l in enumerate(letters)}
+    codes = tuple(rank[l] for l in block) * 2
+    inverse_codes = tuple(rank[l] for l in inverse) * 2
+    rotations = {codes[d : d + m] for d in range(m)}
+    least = min(rotations | {inverse_codes[d : d + m] for d in range(m)})
+    return BandShape(
+        tuple(letters[r] for r in least), len(rotations) == m, inverse_codes[:m] in rotations
+    )
 
 
 def canonical_band_block(block):
-    cands = _rotations(block) + _rotations(_band_inverse_block(block))
-    return min(cands, key=lambda b: tuple(l.key() for l in b))
+    return band_shape(block).canonical
+
+
+def descriptor_of(pres, word):
+    """The string or band descriptor of a word as given, not canonicalised."""
+    if word.shape == "zper":
+        return BandDescriptor(word, band_shape(word.period).symmetric)
+    return StringDescriptor(word, word == invert_word(pres, word))
 
 
 def enumerate_bands(pres, max_period):
-    """Canonical representatives of all bands of period <= max_period."""
+    """Canonical representatives of all bands of period <= max_period (none
+    when max_period < 1)."""
     pats = _relation_patterns(pres)
-    maxpat = max((len(p) for p in pats), default=0)
-    found = {}
+    longest = max(map(len, pats), default=0)
+    found = []
 
     def try_close(seq):
         first, last = seq[0], seq[-1]
@@ -535,35 +536,30 @@ def enumerate_bands(pres, max_period):
             return
         if pres.sign(last.inverse()) != -pres.sign(first):
             return
+        # the windows inside the block were tested while it grew; test the
+        # ones that cross the seam into the next period
+        m = len(seq)
+        if _hits_pattern([seq[j % m] for j in range(m + longest - 1)], pats, m + 1):
+            return
         block = tuple(seq)
-        if not _is_primitive(block):
-            return
-        reps = max(2, -(-maxpat // len(block)) + 1)
-        if _contains_pattern(list(block) * reps, pats):
-            return
-        cb = canonical_band_block(block)
-        if block != cb:
-            return
-        word = periodic_word(pres, block, check=False)
-        symmetric = _band_inverse_block(block) in _rotations(block)
-        found.setdefault(tuple(l.key() for l in block), BandDescriptor(word, symmetric))
+        shape = band_shape(block)
+        if shape.primitive and shape.canonical == block:
+            found.append(BandDescriptor(periodic_word(pres, block, check=False), shape.symmetric))
 
     def rec(seq):
-        if len(seq) >= 1:
-            try_close(seq)
+        try_close(seq)
         if len(seq) >= max_period:
             return
         for letter in _extensions(pres, seq[-1]):
             seq.append(letter)
-            if not _suffix_hits_pattern(seq, pats):
+            if not _hits_pattern(seq, pats, len(seq)):
                 rec(seq)
             seq.pop()
 
-    for letter in sorted(pres.letters(), key=lambda l: l.key()):
-        rec([letter])
-
-    descs = sorted(found.values(), key=lambda d: word_key(pres, d.word))
-    return descs
+    if max_period >= 1:
+        for letter in sorted(pres.letters(), key=Letter.key):
+            rec([letter])
+    return sorted(found, key=lambda d: word_key(pres, d.word))
 
 
 @dataclass(frozen=True)

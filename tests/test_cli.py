@@ -262,6 +262,42 @@ def test_bad_param_file_is_invalid_input(tmp_path, capsys, word, param):
     assert code == 1 and out["error"]["type"] == "InvalidInput"
 
 
+BAD_WORDS = [
+    "e:1",
+    "e:1:x",
+    "{",
+    "{}",
+    '{"v0":"1"}',
+    '{"v0":"1","sign":1,"letters":5}',
+    '{"letters":[{"star":"s"},{"arrow":"a","dir":1},{"star":"s"}]}',
+    '{"letters":[{"star":"s"},{"arrow":"a","dir":"up"},{"star":"s"}]}',
+    '{"letters":["s*"]}',
+    '{"v0":"1","sign":-1,"letters":[{"star":"s"},{"arrow":"a","dir":"dir"},{"star":"s"}]}',
+]
+
+
+@pytest.mark.parametrize("word", BAD_WORDS)
+def test_bad_word_is_invalid_input(capsys, word):
+    code, out = _main(capsys, "build", "example:E1", "--word", word)
+    assert code == 1 and out["error"]["type"] == "InvalidInput"
+
+
+def test_word_file_holding_a_list_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "word.json"
+    path.write_text("[1]")
+    code, out = _main(capsys, "build", "example:E1", "--word", f"@{path}")
+    assert code == 1 and out["error"]["type"] == "InvalidInput"
+
+
+def test_word_spellings_agree(capsys):
+    inline = '{"letters":[{"star":"s"},{"arrow":"a","dir":"inv"},{"star":"s"}]}'
+    _, compact = _main(capsys, "build", "example:E1", "--word", "s*.a^-1.s*")
+    _, json_word = _main(capsys, "build", "example:E1", "--word", inline)
+    assert compact == json_word
+    _, trivial = _main(capsys, "build", "example:GP2", "--word", "e:1:-")
+    assert trivial["dims"] == {"1": 1}
+
+
 def test_param_file_dim_builds_that_many_copies(tmp_path, capsys):
     path = tmp_path / "param.json"
     path.write_text(json.dumps({"dim": 2}))
