@@ -256,17 +256,24 @@ def _reduce(v, p, bits):
 def _rref2_ints(vals, seed=()):
     """Reduced echelon basis over GF(2) on bit-packed rows: pivot -> row."""
     basis = dict(seed)
+    pivots = sum(1 << q for q in basis)
     for v in vals:
-        for piv, row in basis.items():
-            if (v >> piv) & 1:
-                v ^= row
+        # a reduced basis row is zero at every other pivot, so adding the
+        # rows at the pivots set in v clears v at every pivot
+        hit = v & pivots
+        while hit:
+            low = hit & -hit
+            v ^= basis[low.bit_length() - 1]
+            hit ^= low
         if not v:
             continue
-        piv = (v & -v).bit_length() - 1
+        low = v & -v
+        piv = low.bit_length() - 1
         for q, row in basis.items():
             if (row >> piv) & 1:
                 basis[q] = row ^ v
         basis[piv] = v
+        pivots |= low
     return basis
 
 

@@ -63,7 +63,7 @@ class ArrowInfo:
 
 class Presentation:
     """A validated presentation; immutable after construction apart from the
-    caches that filtration fills."""
+    caches that words and filtration fill."""
 
     def __init__(self, field, vertices, arrows, special, zero_relations, signs):
         self.field = field
@@ -73,7 +73,9 @@ class Presentation:
         self.special = dict(special)  # name -> SkewQuadratic
         self.zero_relations = tuple(tuple(r) for r in zero_relations)
         self.signs = dict(signs)  # Letter -> +-1
-        # candidate descriptors and their specs, filled by filtration
+        # the letter tables of words, and the candidate descriptors and
+        # their specs of filtration; each filled on first use
+        self._word_tables = None
         self._descriptors = {}
         self._specs = {}
 

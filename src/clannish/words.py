@@ -236,38 +236,53 @@ def prefix_inverse(pres, w, i):
 # -- admissibility -----------------------------------------------------------
 
 
-def _relation_patterns(pres):
-    pats = set()
-    for r in pres.zero_relations:
-        fwd = tuple(
-            Letter("s", a) if a in pres.special else Letter("d", a) for a in r
+class _WordTables(NamedTuple):
+    patterns: frozenset  # zero relations as letter tuples, both directions
+    longest: int  # length of the longest zero relation, 0 when there is none
+    rank: dict  # letter -> its place in Letter.key order
+    successors: dict  # letter -> the letters that may follow it
+
+
+def _word_tables(pres):
+    """What the enumerators and the admissibility test read of a
+    presentation, built once per presentation object."""
+    if pres._word_tables is None:
+        pats = set()
+        for r in pres.zero_relations:
+            fwd = tuple(
+                Letter("s", a) if a in pres.special else Letter("d", a) for a in r
+            )
+            pats.add(fwd)
+            pats.add(tuple(l.inverse() for l in reversed(fwd)))
+        letters = sorted(pres.letters(), key=Letter.key)
+        pres._word_tables = _WordTables(
+            frozenset(pats),
+            max(map(len, pats), default=0),
+            {l: r for r, l in enumerate(letters)},
+            {l: tuple(_extensions(pres, l)) for l in letters},
         )
-        bwd = tuple(l.inverse() for l in reversed(fwd))
-        pats.add(fwd)
-        pats.add(bwd)
-    return pats
+    return pres._word_tables
 
 
-def _hits_pattern(seq, pats, start=0):
+def _hits_pattern(seq, tables, start=0):
     """Whether a window of seq that ends at index ``start`` or later (a slice
     end) spells a zero relation.  Windows run from length 2 up to the longest
     relation, so ``start=len(seq)`` tests the suffixes alone."""
-    longest = max(map(len, pats), default=0)
+    pats = tables.patterns
     for end in range(max(start, 2), len(seq) + 1):
-        for k in range(2, min(end, longest) + 1):
+        for k in range(2, min(end, tables.longest) + 1):
             if tuple(seq[end - k : end]) in pats:
                 return True
     return False
 
 
 def is_relation_admissible(pres, w):
-    pats = _relation_patterns(pres)
+    tables = _word_tables(pres)
     seq = w.letters
     if w.shape != "finite":
         # enough periods that every window starting in the first one fits
-        longest = max(map(len, pats), default=0)
-        seq += w.period * (-(-longest // len(w.period)) + 1)
-    return not _hits_pattern(seq, pats)
+        seq += w.period * (-(-tables.longest // len(w.period)) + 1)
+    return not _hits_pattern(seq, tables)
 
 
 def is_right_end_admissible(pres, w):
@@ -433,7 +448,7 @@ def enumerate_strings(pres, max_len):
     the trivial strings when max_len is 0, and none when it is negative."""
     if max_len < 0:
         return []
-    pats = _relation_patterns(pres)
+    tables = _word_tables(pres)
     found = []
 
     def emit(word):
@@ -464,22 +479,21 @@ def enumerate_strings(pres, max_len):
                 return False
         return True
 
-    def rec(v0, eps, seq):
-        if end_ok(seq):
-            emit(Word("finite", v0, eps, tuple(seq)))
-        if len(seq) >= max_len:
-            return
-        for letter in _extensions(pres, seq[-1]):
-            seq.append(letter)
-            if interior_ok(seq) and not _hits_pattern(seq, pats, len(seq)):
-                rec(v0, eps, seq)
-            seq.pop()
-
+    # depth first on an explicit stack, so no bound meets the recursion limit
+    stack = []
     if max_len >= 1:
         for v0 in sorted(pres.vertices):
             for eps in (1, -1):
-                for letter in _first_letters(pres, v0, eps):
-                    rec(v0, eps, [letter])
+                stack += [(letter,) for letter in _first_letters(pres, v0, eps)]
+    while stack:
+        seq = stack.pop()
+        if end_ok(seq):
+            emit(Word("finite", pres.head(seq[0]), pres.sign(seq[0]), seq))
+        if len(seq) < max_len:
+            for letter in tables.successors[seq[-1]]:
+                grown = seq + (letter,)
+                if interior_ok(grown) and not _hits_pattern(grown, tables, len(grown)):
+                    stack.append(grown)
 
     return [d for _, d in sorted(found, key=lambda kd: kd[0])]
 
@@ -525,9 +539,20 @@ def descriptor_of(pres, word):
 
 def enumerate_bands(pres, max_period):
     """Canonical representatives of all bands of period <= max_period (none
-    when max_period < 1)."""
-    pats = _relation_patterns(pres)
-    longest = max(map(len, pats), default=0)
+    when max_period < 1).
+
+    A canonical block is primitive and its own least rotation in
+    ``Letter.key`` order, so it is a Lyndon word, and every prefix of a
+    Lyndon word is a prenecklace.  The search therefore grows prenecklaces
+    alone, in the manner of Fredricksen, Kessler and Maiorana, carrying p, the
+    length of the longest Lyndon prefix of the sequence: a next letter ranked
+    below ``seq[-p]`` leaves no prenecklace, one ranked equal keeps p, one
+    ranked above makes the whole sequence Lyndon.  Only Lyndon sequences are
+    closed into blocks, and ``band_shape`` settles the inverse rotations and
+    the symmetry.
+    """
+    tables = _word_tables(pres)
+    rank, longest = tables.rank, tables.longest
     found = []
 
     def try_close(seq):
@@ -539,26 +564,28 @@ def enumerate_bands(pres, max_period):
         # the windows inside the block were tested while it grew; test the
         # ones that cross the seam into the next period
         m = len(seq)
-        if _hits_pattern([seq[j % m] for j in range(m + longest - 1)], pats, m + 1):
+        if _hits_pattern([seq[j % m] for j in range(m + longest - 1)], tables, m + 1):
             return
-        block = tuple(seq)
-        shape = band_shape(block)
-        if shape.primitive and shape.canonical == block:
-            found.append(BandDescriptor(periodic_word(pres, block, check=False), shape.symmetric))
+        # a Lyndon block is primitive and least among its own rotations
+        shape = band_shape(seq)
+        if shape.canonical == seq:
+            found.append(BandDescriptor(periodic_word(pres, seq, check=False), shape.symmetric))
 
-    def rec(seq):
-        try_close(seq)
-        if len(seq) >= max_period:
-            return
-        for letter in _extensions(pres, seq[-1]):
-            seq.append(letter)
-            if not _hits_pattern(seq, pats, len(seq)):
-                rec(seq)
-            seq.pop()
-
-    if max_period >= 1:
-        for letter in sorted(pres.letters(), key=Letter.key):
-            rec([letter])
+    # depth first on an explicit stack, so no bound meets the recursion limit
+    stack = [((letter,), 1) for letter in rank] if max_period >= 1 else []
+    while stack:
+        seq, p = stack.pop()
+        m = len(seq)
+        if p == m:
+            try_close(seq)
+        if m < max_period:
+            least = rank[seq[-p]]
+            for letter in tables.successors[seq[-1]]:
+                r = rank[letter]
+                if r >= least:
+                    grown = seq + (letter,)
+                    if not _hits_pattern(grown, tables, m + 1):
+                        stack.append((grown, p if r == least else m + 1))
     return sorted(found, key=lambda d: word_key(pres, d.word))
 
 

@@ -60,6 +60,33 @@ def test_strings_bands_basis():
     assert basis["count"] == 7
 
 
+def test_bounds_beyond_the_recursion_limit(tmp_path):
+    # the searches run on an explicit stack; the limit is lowered so that the
+    # string list, quadratic in the bound, stays small
+    loop = {
+        "field": {"p": 2, "n": 1},
+        "vertices": ["1"],
+        "arrows": [{"name": "a", "from": "1", "to": "1"}],
+        "zero_relations": [],
+    }
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop))
+    limit, n = 150, 200
+    main = f"import sys; sys.setrecursionlimit({limit}); from clannish.cli import main; sys.exit(main())"
+
+    def run(*args):
+        proc = subprocess.run(
+            [sys.executable, "-c", main, *args, str(path)], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return json.loads(proc.stdout)
+
+    strings = run("strings", "--max-len", str(n))["strings"]
+    assert [s["compact"] for s in strings] == ["e:1:+"] + [".".join("a" * k) for k in range(1, n + 1)]
+    bands = run("bands", "--max-period", str(n))["bands"]
+    assert [b["compact"] for b in bands] == ["(a)"]
+
+
 def test_build_fdim_decompose_roundtrip(tmp_path):
     module = tmp_path / "m.json"
     out = json.loads(

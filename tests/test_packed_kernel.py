@@ -1,16 +1,26 @@
-"""The packed odd-p Gauss-Jordan kernel, checked against the list-based
-elimination it replaced.
+"""The packed Gauss-Jordan kernels, checked against the eliminations they
+replaced.
 
 ``_reference_rref`` and ``_reference_left_nullspace`` are the former generic
 ``linalg.rref`` and ``linalg.left_nullspace``, kept here as the slow path.
 The primes cover byte slots (3 to 13) and wider ones (17 up to 2**61 - 1).
+``_reference_rref2`` is the former GF(2) loop, which tested every basis row
+against each incoming row.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clannish.linalg import Subspace, _rref_ints, _unpack, left_nullspace, rref, slot_bits
+from clannish.linalg import (
+    Subspace,
+    _rref2_ints,
+    _rref_ints,
+    _unpack,
+    left_nullspace,
+    rref,
+    slot_bits,
+)
 
 PRIMES = (3, 5, 7, 13, 17, 257)
 LARGE_PRIMES = (65537, 2**31 - 1, 2**61 - 1)
@@ -160,3 +170,40 @@ def test_kernel_takes_slots_up_to_the_square(p):
     pivots, red = _reference_rref(negated, p)
     assert sorted(basis) == pivots
     assert [_unpack(basis[q], p, width) for q in pivots] == red
+
+
+# -- the GF(2) kernel ----------------------------------------------------------
+
+
+def _reference_rref2(vals, seed=()):
+    basis = dict(seed)
+    for v in vals:
+        for piv, row in basis.items():
+            if (v >> piv) & 1:
+                v ^= row
+        if not v:
+            continue
+        piv = (v & -v).bit_length() - 1
+        for q, row in basis.items():
+            if (row >> piv) & 1:
+                basis[q] = row ^ v
+        basis[piv] = v
+    return basis
+
+
+@st.composite
+def _bit_rows(draw):
+    """Two lists of rows of one width; narrow widths give dependent rows."""
+    rows = st.lists(st.integers(0, 2 ** draw(st.integers(1, 40)) - 1), max_size=14)
+    return draw(rows), draw(rows)
+
+
+@given(_bit_rows())
+def test_rref2_equals_the_scan_over_every_pivot(case):
+    # the pivots, the rows and their order all agree, from no seed and from
+    # a reduced one
+    vals, seed_rows = case
+    assert list(_rref2_ints(vals).items()) == list(_reference_rref2(vals).items())
+    seed = _reference_rref2(seed_rows)
+    got = _rref2_ints(vals, seed.items())
+    assert list(got.items()) == list(_reference_rref2(vals, seed.items()).items())

@@ -5,7 +5,9 @@ The reference below is the generate-and-deduplicate enumerator: three
 relation-window scanners, key tuples for every rotation of a band block, a
 dict of canonical words per bound, and two enumerations per candidate set on
 presentations with special loops.  The library must give exactly its lists,
-in its order, for every bound >= 1.
+in its order, for every bound >= 1.  The band search grows prenecklaces
+alone; a brute-force list of every closed letter sequence, and the Lyndon
+property of every returned block, check it from two more sides.
 """
 
 import functools
@@ -29,7 +31,6 @@ from clannish.words import (
     Word,
     _extensions,
     _first_letters,
-    _relation_patterns,
     band_shape,
     canonical_string_word,
     enumerate_bands,
@@ -42,6 +43,16 @@ from clannish.words import (
 )
 
 # -- the reference -------------------------------------------------------------
+
+
+def ref_relation_patterns(pres):
+    pats = set()
+    for r in pres.zero_relations:
+        fwd = tuple(Letter("s", a) if a in pres.special else Letter("d", a) for a in r)
+        bwd = tuple(l.inverse() for l in reversed(fwd))
+        pats.add(fwd)
+        pats.add(bwd)
+    return pats
 
 
 def ref_contains_pattern(seq, pats):
@@ -63,7 +74,7 @@ def ref_suffix_hits_pattern(seq, pats):
 
 
 def ref_is_relation_admissible(pres, w):
-    pats = _relation_patterns(pres)
+    pats = ref_relation_patterns(pres)
     if not pats:
         return True
     maxlen = max(len(p) for p in pats)
@@ -97,7 +108,7 @@ def ref_canonical_band_block(block):
 
 
 def ref_enumerate_strings(pres, max_len):
-    pats = _relation_patterns(pres)
+    pats = ref_relation_patterns(pres)
     found = {}
 
     def emit(word):
@@ -147,7 +158,7 @@ def ref_enumerate_strings(pres, max_len):
 
 
 def ref_enumerate_bands(pres, max_period):
-    pats = _relation_patterns(pres)
+    pats = ref_relation_patterns(pres)
     maxpat = max((len(p) for p in pats), default=0)
     found = {}
 
@@ -255,6 +266,45 @@ def test_candidate_lists_equal_the_reference(name):
         ref = ref_candidate_descriptors(pres, dim)
         assert [d for d in ref if d in new] == new
         assert all(len(rw_descriptor(pres, d).Jw) > dim for d in ref if d not in new)
+
+
+# -- bands by brute force -------------------------------------------------------
+
+# name -> the largest period listed by brute force
+BRUTE_PERIODS = {name: 5 if name in ("GP2(3)", "DIEUDONNE(3,2)") else 6 for name in PRESENTATIONS}
+
+
+def brute_force_bands(pres, max_period):
+    """Every closed, chained, relation-admissible letter sequence up to the
+    bound, canonicalised, the primitive ones kept once each."""
+    found = {}
+    seqs = [(l,) for l in pres.letters()]
+    for _ in range(max_period):
+        for seq in seqs:
+            if not _closes(pres, seq):
+                continue
+            if not ref_is_relation_admissible(pres, Word("zper", pres.head(seq[0]), pres.sign(seq[0]), (), seq)):
+                continue
+            shape = band_shape(seq)
+            if shape.primitive:
+                found[shape.canonical] = BandDescriptor(periodic_word(pres, shape.canonical), shape.symmetric)
+        seqs = [seq + (l,) for seq in seqs for l in _extensions(pres, seq[-1])]
+    return sorted(found.values(), key=lambda d: word_key(pres, d.word))
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_bands_equal_the_brute_force_list(name):
+    pres = _pres(name)
+    assert enumerate_bands(pres, BRUTE_PERIODS[name]) == brute_force_bands(pres, BRUTE_PERIODS[name])
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_band_blocks_are_lyndon_words(name):
+    # each block sorts strictly before every proper rotation of itself
+    pres = _pres(name)
+    for d in enumerate_bands(pres, PRESENTATIONS[name][3]):
+        keys = [l.key() for l in d.word.period]
+        assert all(keys < keys[k:] + keys[:k] for k in range(1, len(keys)))
 
 
 def test_bounds_below_one():

@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from clannish.errors import NonConcatenable, NotComparable, NotStarLetter, NotSymmetric
 from clannish.presentation import Letter
+from clannish.serialize import presentation_from_json
 from clannish.words import (
     NATURALLY_DIRECT,
     NATURALLY_INVERSE,
@@ -289,3 +291,21 @@ def test_string_symmetry_iff_palindrome(E1, GP2):
     for pres in (E1, GP2):
         for d in enumerate_strings(pres, 5):
             assert d.symmetric == (d.word == invert_word(pres, d.word))
+
+
+ONE_LOOP = {
+    "field": {"p": 2, "n": 1},
+    "vertices": ["1"],
+    "arrows": [{"name": "a", "from": "1", "to": "1"}],
+    "zero_relations": [],
+}
+
+
+def test_bounds_beyond_the_recursion_limit():
+    # the searches run on an explicit stack; a recursive one failed with
+    # RecursionError once the bound passed the interpreter's limit
+    pres = presentation_from_json(ONE_LOOP)
+    n = sys.getrecursionlimit() + 1
+    strings = enumerate_strings(pres, n)
+    assert [d.word.letters for d in strings] == [(A,) * k for k in range(n + 1)]
+    assert [d.word.period for d in enumerate_bands(pres, n)] == [(A,)]
