@@ -55,11 +55,9 @@ def load_module(path, pres_path=None):
 
 
 def emit(args, payload):
-    if args.pretty:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    else:
-        json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # one write of the whole document: json.dump writes each encoder chunk
+    text = json.dumps(payload, indent=2 if args.pretty else None, sort_keys=True)
+    sys.stdout.write(text + "\n")
 
 
 def cmd_validate(args):
@@ -346,11 +344,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except ClannishError as exc:
-        json.dump(
-            {"error": {"type": type(exc).__name__, "detail": str(exc)}},
-            sys.stdout,
-        )
-        sys.stdout.write("\n")
+        error = {"error": {"type": type(exc).__name__, "detail": str(exc)}}
+        sys.stdout.write(json.dumps(error) + "\n")
         return 1
 
 

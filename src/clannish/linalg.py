@@ -11,15 +11,24 @@ int with coordinate j in slot j, ``slot_bits(p)`` bits wide (1 bit for p = 2;
 for odd p the least multiple of 8 with p*p < 2**bits, so bytes for
 p <= 13).  One Gauss-Jordan kernel, ``_rref_ints``, eliminates them: XOR for
 p = 2, and for odd p multiply-adds that reduce a row mod p only before a slot
-could carry.  Every F_p matrix is a list of such rows, multiplied by
-``mat_mul`` under the same rule: K-multiplication, Frobenius and semilinear
-maps (``mult_matrix``, ``frob_matrix``, ``prime_matrix``), relation graphs,
-and the oracle's endomorphisms and Hom equations.  Entries are read back only
-where a routine needs them one by one, and in the tuple API of ``rref`` and
+could carry.  It runs two passes.  The forward pass clears each incoming row
+at the pivots found so far, lowest pivot first, and adds a nonzero remainder
+as a new pivot row without back-substituting it.  One back-substitution pass,
+highest pivot first, then reduces only the rows the caller keeps: those with
+a pivot at or past ``width`` (the tail of a relation image, composition,
+intersection or nullspace), or every row for a full basis (width 0).
+
+Every F_p matrix is a list of such rows, multiplied by ``mat_mul`` under the
+same rule: K-multiplication, Frobenius and semilinear maps (``mult_matrix``,
+``frob_matrix``, ``prime_matrix``), relation graphs, and the oracle's
+endomorphisms and Hom equations.  Entries are read back only where a routine
+needs them one by one, and in the tuple API of ``rref`` and
 ``left_nullspace``.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import Aut
@@ -253,86 +262,103 @@ def _reduce(v, p, bits):
     return out
 
 
-def _rref2_ints(vals, seed=()):
-    """Reduced echelon basis over GF(2) on bit-packed rows: pivot -> row."""
+def _clear2(v, basis, pivots):
+    """v cleared over GF(2) at the pivots (bit mask) of ``basis``, lowest
+    first: a pivot row is zero below its pivot, so adding it never sets a
+    pivot bit already cleared."""
+    hit = v & pivots
+    while hit:
+        v ^= basis[(hit & -hit).bit_length() - 1]
+        hit = v & pivots
+    return v
+
+
+def _clear(v, p, bits, basis, order):
+    """v cleared over odd p at the pivots of ``basis``, taken in the ascending
+    order ``order``, and reduced.  Clearing slot q is one multiply-add,
+    v += g * row with g = -v[q] mod p, and no reduction: v carries a bound on
+    its slots and is reduced only before a step could carry a slot past
+    2**bits - 1.  A step from a reduced v stays at or below
+    (p - 1) + (p - 1)**2 < p*p < 2**bits, the no-carry bound that fixes
+    ``slot_bits``."""
+    mask = (1 << bits) - 1
+    top = p - 1
+    vb = top * top
+    for q in order:
+        x = (v >> (bits * q)) & mask
+        if x:
+            g = -x % p
+            if g:
+                if vb + g * top > mask:
+                    v, vb = _reduce(v, p, bits), top
+                v += g * basis[q]
+                vb += g * top
+    return _reduce(v, p, bits) if vb >= p else v
+
+
+def _rref2_ints(vals, seed=(), width=0):
+    """``_rref_ints`` over GF(2), on bit-packed rows."""
     basis = dict(seed)
     pivots = sum(1 << q for q in basis)
+    known = len(basis)
     for v in vals:
-        # a reduced basis row is zero at every other pivot, so adding the
-        # rows at the pivots set in v clears v at every pivot
-        hit = v & pivots
-        while hit:
-            low = hit & -hit
-            v ^= basis[low.bit_length() - 1]
-            hit ^= low
-        if not v:
-            continue
-        low = v & -v
-        piv = low.bit_length() - 1
-        for q, row in basis.items():
-            if (row >> piv) & 1:
-                basis[q] = row ^ v
-        basis[piv] = v
-        pivots |= low
-    return basis
+        v = _clear2(v, basis, pivots)
+        if v:
+            low = v & -v
+            basis[low.bit_length() - 1] = v
+            pivots |= low
+    if len(basis) > known:
+        done = 0  # the pivots of the final rows, all above q
+        for q in sorted(basis, reverse=True):
+            if q < width:
+                break
+            basis[q] = _clear2(basis[q], basis, done)
+            done |= 1 << q
+    return _kept(basis, width)
 
 
-def _rref_ints(vals, p, seed=()):
-    """Canonical reduced echelon basis of packed F_p rows: pivot -> row.
+def _rref_ints(vals, p, seed=(), width=0):
+    """Reduced echelon basis of packed F_p rows, kept from pivot ``width`` on:
+    pivot -> row, in insertion order.
 
     The rows extend ``seed``, a reduced echelon basis given as (pivot, row)
     pairs.  Input slots may hold values up to (p - 1)**2; output rows are
-    reduced.  Over odd p a row is cleared at a pivot by one multiply-add,
-    row += (p - f) * pivot_row, with no reduction.  Every row carries a bound
-    on its slots, and a row is reduced before a step that could carry a slot
-    past 2**bits - 1.  A step between reduced rows stays at or below
-    (p - 1) + (p - 1)**2 < p*p < 2**bits, the no-carry bound that fixes
-    ``slot_bits``.  Incoming rows are reduced when they become pivot rows,
-    basis rows at the end.
+    reduced.  Elimination runs in two passes, both by ``_clear2``/``_clear``.
+    The forward pass clears each incoming row at the pivots found so far and
+    makes a nonzero remainder a pivot row, leaving the other rows alone.  The
+    back-substitution pass clears each row whose pivot is ``width`` or more
+    at the final rows above it, highest pivot first; a final row is zero at
+    every other pivot, so that clears each row at every pivot but its own.
+    Rows with a lower pivot are dropped unreduced.  The rows kept are zero at
+    each other's pivots and below ``width``: the canonical reduced echelon
+    basis of the rows of the span that vanish below ``width`` (with width 0,
+    of the whole span).
     """
     if p == 2:
-        return _rref2_ints(vals, seed)
+        return _rref2_ints(vals, seed, width)
     bits = slot_bits(p)
     mask = (1 << bits) - 1
     basis = dict(seed)
-    bound = dict.fromkeys(basis, p - 1)
+    order = sorted(basis)
+    known = len(order)
     for v in vals:
-        vb = (p - 1) ** 2
-        for q, row in basis.items():
-            f = ((v >> (bits * q)) & mask) % p
-            if f:
-                g = p - f
-                rb = bound[q]
-                if vb + g * rb > mask:
-                    v, vb = _reduce(v, p, bits), p - 1
-                    if vb + g * rb > mask:
-                        row = basis[q] = _reduce(row, p, bits)
-                        rb = bound[q] = p - 1
-                v += g * row
-                vb += g * rb
-        if vb >= p:
-            v = _reduce(v, p, bits)
-        if not v:
-            continue
-        piv = ((v & -v).bit_length() - 1) // bits
-        lead = (v >> (bits * piv)) & mask
-        if lead != 1:
-            v = _reduce(v * pow(lead, p - 2, p), p, bits)
-        for q, row in basis.items():
-            f = ((row >> (bits * piv)) & mask) % p
-            if f:
-                g = p - f
-                rb = bound[q]
-                if rb + g * (p - 1) > mask:
-                    row, rb = _reduce(row, p, bits), p - 1
-                basis[q] = row + g * v
-                bound[q] = rb + g * (p - 1)
-        basis[piv] = v
-        bound[piv] = p - 1
-    for q, rb in bound.items():
-        if rb >= p:
-            basis[q] = _reduce(basis[q], p, bits)
-    return basis
+        v = _clear(v, p, bits, basis, order)
+        if v:
+            piv = ((v & -v).bit_length() - 1) // bits
+            lead = (v >> (bits * piv)) & mask
+            if lead != 1:
+                v = _reduce(v * pow(lead, p - 2, p), p, bits)
+            basis[piv] = v
+            insort(order, piv)
+    if len(order) > known:
+        kept = order[bisect_left(order, width) :]
+        for i in range(len(kept) - 2, -1, -1):
+            basis[kept[i]] = _clear(basis[kept[i]], p, bits, basis, kept[i + 1 :])
+    return _kept(basis, width)
+
+
+def _kept(basis, width):
+    return {q: row for q, row in basis.items() if q >= width} if width else basis
 
 
 def rref(rows, p):
@@ -416,9 +442,14 @@ class Subspace:
         return other._spans(self._ints)
 
     def _spans(self, ints):
-        """Whether packed rows all lie in this subspace: eliminating them
-        against the basis finds no new pivot."""
-        return len(_rref_ints(ints, self.p, zip(self.pivots, self._ints))) == self.dim
+        """Whether packed rows all lie in this subspace: each clears to zero
+        at the pivots of the reduced basis."""
+        basis = dict(zip(self.pivots, self._ints))
+        if self.p == 2:
+            pivots = sum(1 << q for q in self.pivots)
+            return not any(_clear2(v, basis, pivots) for v in ints)
+        bits = slot_bits(self.p)
+        return not any(_clear(v, self.p, bits, basis, self.pivots) for v in ints)
 
     def __eq__(self, other):
         return (
@@ -438,6 +469,10 @@ class Subspace:
 
     def intersect(self, other):
         self._compat(other)
+        if not self.dim or other.dim == other.ambient:
+            return self
+        if not other.dim or self.dim == self.ambient:
+            return other
         # Zassenhaus: eliminate [W|0] against the reduced rows [U|U]; rows
         # with zero left half carry the intersection in their right half.
         shift = slot_bits(self.p) * self.ambient
@@ -458,12 +493,13 @@ def eliminate_block(p, rows, width, ambient, seed=()):
     first ``width`` coordinates.  The rows extend the reduced basis ``seed``
     (pivot, row pairs), which is taken as it is.
 
-    The eliminated rows whose pivot lies past the block are already the
-    canonical reduced basis of the answer, so no second elimination runs.
+    The kernel keeps and back-substitutes only the rows whose pivot lies
+    past the block; they are already the canonical reduced basis of the
+    answer, so no second elimination runs.
     """
-    basis = _rref_ints(rows, p, seed)
+    basis = _rref_ints(rows, p, seed, width)
     shift = slot_bits(p) * width
-    tail = sorted(q for q in basis if q >= width)
+    tail = sorted(basis)
     return Subspace._reduced(
         p, ambient, [q - width for q in tail], [basis[q] >> shift for q in tail]
     )
@@ -522,7 +558,7 @@ def transpose(a, p, ncols):
 def combine(coeffs, vals, p):
     """sum(c * v) over packed rows ``vals``, reduced.  Each term adds at most
     (p - 1)**2 to a slot, and the sum is reduced before a term could carry a
-    slot past 2**bits - 1 (the no-carry rule of ``_rref_ints``)."""
+    slot past 2**bits - 1 (the no-carry rule of ``_clear``)."""
     if p == 2:
         out = 0
         for c, v in zip(coeffs, vals):

@@ -218,6 +218,11 @@ def validate(field, vertices, arrows, special, zero_relations):
     ``special``: mapping loop name -> (beta, gamma).
     ``zero_relations``: iterable of arrow-name sequences, length >= 2.
     """
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            raise ClannishViolation("vertices", v, f"duplicate vertex name {v!r}")
+        seen.add(v)
     arrows = [a if isinstance(a, ArrowInfo) else ArrowInfo(*a) for a in arrows]
     arrow_map = {}
     for a in arrows:

@@ -10,9 +10,17 @@ from clannish.examples import (
 from clannish.fields import make_field
 
 # Property tests draw the same examples on every run, so tier-1 stays
-# deterministic, and keep to a few seconds in all.
+# deterministic, and keep to a few seconds in all.  ``kernel-deep`` draws ten
+# times as many, for a long run of one file (--hypothesis-profile kernel-deep).
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=100)
-settings.load_profile("tier1")
+settings.register_profile("kernel-deep", derandomize=True, deadline=None, max_examples=1000)
+
+
+def pytest_configure(config):
+    # tier-1 unless the command line names a profile: this file may load after
+    # the hypothesis plugin has loaded that one
+    if not config.getoption("--hypothesis-profile"):
+        settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

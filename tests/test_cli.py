@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -201,6 +202,13 @@ BAD_INPUTS = {
         None,
         "InvalidInput",
     ),
+    "duplicate vertex": (
+        ["validate", "{module}"],
+        json.dumps(
+            {"field": {"p": 2, "n": 1}, "vertices": ["1", "1"], "arrows": [], "zero_relations": []}
+        ),
+        "ClannishViolation",
+    ),
     **{
         f"modulus {modulus}": (
             ["quadratic", "--p", "2", "--n", "2", "--beta", "1", "--gamma", "1"]
@@ -348,6 +356,34 @@ def test_bad_seed_is_invalid_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CLANNISH_SEED", "7")
     code, out = _main(capsys, "oracle-check", module)
     assert code == 0 and out["seed"] == 7
+
+
+class _Writes(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    calls = 0
+
+    def write(self, s):
+        self.calls += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+def test_output_is_one_write_of_the_json_document(monkeypatch, pretty):
+    from clannish import cli
+
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main([*pretty, "strings", "example:E1", "--max-len", "12"]) == 0
+    text = out.getvalue()
+    indent = 2 if pretty else None
+    assert text == json.dumps(json.loads(text), indent=indent, sort_keys=True) + "\n"
+    assert out.calls == 1
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["validate", "example:NOPE"]) == 1
+    assert out.getvalue() == json.dumps(json.loads(out.getvalue())) + "\n"
+    assert out.calls == 1
 
 
 def test_oracle_disagreement_exits_1_with_its_report(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,9 @@ replaced.
 ``linalg.rref`` and ``linalg.left_nullspace``, kept here as the slow path.
 The primes cover byte slots (3 to 13) and wider ones (17 up to 2**61 - 1).
 ``_reference_rref2`` is the former GF(2) loop, which tested every basis row
-against each incoming row.
+against each incoming row.  ``_reference_rref_ints`` is the former kernel for
+every p, which back-substituted each new pivot into every basis row at once;
+the two-pass kernel must give its rows, in its order.
 """
 
 import pytest
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 
 from clannish.linalg import (
     Subspace,
+    _reduce,
     _rref2_ints,
     _rref_ints,
     _unpack,
+    eliminate_block,
     left_nullspace,
     rref,
     slot_bits,
@@ -207,3 +211,142 @@ def test_rref2_equals_the_scan_over_every_pivot(case):
     seed = _reference_rref2(seed_rows)
     got = _rref2_ints(vals, seed.items())
     assert list(got.items()) == list(_reference_rref2(vals, seed.items()).items())
+
+
+# -- the two-pass kernel against the per-pivot one ------------------------------
+
+
+def _reference_rref_ints(vals, p, seed=()):
+    """Each new pivot back-substituted into every basis row as it arrives."""
+    basis = dict(seed)
+    if p == 2:
+        pivots = sum(1 << q for q in basis)
+        for v in vals:
+            hit = v & pivots
+            while hit:
+                low = hit & -hit
+                v ^= basis[low.bit_length() - 1]
+                hit ^= low
+            if not v:
+                continue
+            low = v & -v
+            piv = low.bit_length() - 1
+            for q, row in basis.items():
+                if (row >> piv) & 1:
+                    basis[q] = row ^ v
+            basis[piv] = v
+            pivots |= low
+        return basis
+    bits = slot_bits(p)
+    mask = (1 << bits) - 1
+    bound = dict.fromkeys(basis, p - 1)
+    for v in vals:
+        vb = (p - 1) ** 2
+        for q, row in basis.items():
+            f = ((v >> (bits * q)) & mask) % p
+            if f:
+                g = p - f
+                rb = bound[q]
+                if vb + g * rb > mask:
+                    v, vb = _reduce(v, p, bits), p - 1
+                    if vb + g * rb > mask:
+                        row = basis[q] = _reduce(row, p, bits)
+                        rb = bound[q] = p - 1
+                v += g * row
+                vb += g * rb
+        if vb >= p:
+            v = _reduce(v, p, bits)
+        if not v:
+            continue
+        piv = ((v & -v).bit_length() - 1) // bits
+        lead = (v >> (bits * piv)) & mask
+        if lead != 1:
+            v = _reduce(v * pow(lead, p - 2, p), p, bits)
+        for q, row in basis.items():
+            f = ((row >> (bits * piv)) & mask) % p
+            if f:
+                g = p - f
+                rb = bound[q]
+                if rb + g * (p - 1) > mask:
+                    row, rb = _reduce(row, p, bits), p - 1
+                basis[q] = row + g * v
+                bound[q] = rb + g * (p - 1)
+        basis[piv] = v
+        bound[piv] = p - 1
+    for q, rb in bound.items():
+        if rb >= p:
+            basis[q] = _reduce(basis[q], p, bits)
+    return basis
+
+
+KERNEL_PRIMES = (2,) + PRIMES
+
+
+@st.composite
+def _packed_case(draw):
+    """A prime, an ambient dimension, packed rows with slots up to (p - 1)**2
+    (many zero, dependent and repeated), a reduced seed (often empty), and
+    rows in the seed's span."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    ambient = draw(st.integers(1, 9))
+    bits = slot_bits(p)
+    top = (p - 1) ** 2
+    entry = st.sampled_from([0, 0, 0, 1, p - 1, top]) | st.integers(0, top)
+    vector = st.lists(entry, min_size=ambient, max_size=ambient)
+
+    def pack(row):
+        return sum(x << (bits * j) for j, x in enumerate(row))
+
+    def rows():
+        out = [pack(r) for r in draw(st.lists(vector, max_size=10))]
+        if out and draw(st.booleans()):
+            # nonzero multiples of the rows drawn first
+            out += [
+                _reduce(_reduce(v, p, bits) * draw(st.integers(1, p - 1)), p, bits)
+                for v in out[: len(out) // 2 + 1]
+            ]
+        return out
+
+    vals = rows()
+    seed = _reference_rref_ints(rows(), p) if draw(st.booleans()) else {}
+    basis = [_unpack(row, p, ambient) for row in seed.values()]
+    coeffs = st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis))
+    inside = []
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(coeffs)
+        column_sums = [sum(a * row[j] for a, row in zip(c, basis)) for j in range(ambient)]
+        inside.append(pack([x % p for x in column_sums]))
+    return p, ambient, vals, seed, inside
+
+
+@given(_packed_case(), st.data())
+def test_kernel_keeps_the_per_pivot_rows_in_order(case, data):
+    p, ambient, vals, seed, _ = case
+    width = data.draw(st.integers(0, ambient))
+    ref = _reference_rref_ints(vals, p, seed.items())
+    want = [(q, row) for q, row in ref.items() if q >= width]
+    assert list(_rref_ints(vals, p, seed.items(), width).items()) == want
+    if not width:
+        assert list(_rref_ints(vals, p, seed.items()).items()) == want
+
+
+@given(_packed_case(), st.data())
+def test_eliminate_block_matches_the_per_pivot_kernel(case, data):
+    p, ambient, vals, seed, _ = case
+    width = data.draw(st.integers(0, ambient))
+    shift = slot_bits(p) * width
+    ref = _reference_rref_ints(vals, p, seed.items())
+    tail = sorted(q for q in ref if q >= width)
+    got = eliminate_block(p, vals, width, ambient - width, seed.items())
+    assert got.pivots == tuple(q - width for q in tail)
+    assert got.packed() == tuple(ref[q] >> shift for q in tail)
+
+
+@given(_packed_case())
+def test_spans_matches_the_per_pivot_kernel(case):
+    p, ambient, vals, seed, inside = case
+    space = Subspace._reduced(p, ambient, sorted(seed), [seed[q] for q in sorted(seed)])
+    for rows in (vals, inside, inside + vals[:1], vals[:1] + inside):
+        want = len(_reference_rref_ints(rows, p, seed.items())) == len(seed)
+        assert space._spans(rows) == want
+    assert space._spans(inside)

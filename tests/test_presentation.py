@@ -50,6 +50,14 @@ def test_condition_two_violation(F2):
     assert err.value.condition == "(2)"
 
 
+def test_duplicate_vertex_rejected(F2):
+    with pytest.raises(ClannishViolation) as err:
+        validate(F2, ("1", "1"), [], {}, [])
+    assert err.value.where == "1" and "duplicate vertex" in str(err.value)
+    with pytest.raises(ClannishViolation, match="duplicate vertex"):
+        validate(F2, ("1", "2", "1"), [ArrowInfo("a", "1", "2", 0)], {}, [])
+
+
 def test_bad_quadratic_rejected(F4):
     arrows = [ArrowInfo("s", "1", "1", 0)]
     with pytest.raises(BadQuadratic):
