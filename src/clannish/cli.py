@@ -3,7 +3,8 @@
 Every command prints a single JSON document (pass --pretty for indentation)
 and exits 0 on success; domain errors and command lines that do not parse
 print {"error": {...}} and exit 1.  The one exception is ``oracle-check``,
-which exits 1 with its report when the functor and the oracle disagree.
+which exits 1 with its report, and a "reason", when the functor and the
+oracle disagree.
 Presentation files may be given as a path or as "example:NAME" for one of
 the bundled presentations.
 """
@@ -237,9 +238,16 @@ def cmd_oracle_check(args):
     rep = load_module(args.module, args.presentation)
     report = filtration.multiplicities(rep, args.max_len, args.max_period)
     parts = homalg.brute_decompose(rep)
-    agg = {}
-    for part in parts:
+    agg, broken = {}, []
+    for k, part in enumerate(parts):
         sub = filtration.multiplicities(part)
+        # an indecomposable summand is one string or band: exactly one entry,
+        # with |J_w| * f_dim = dim, or a functor error could cancel in the sums
+        if len(sub.entries) != 1 or sub.checksum != part.dim():
+            broken.append(
+                f"summand {k} of dimension {part.dim()} gives {len(sub.entries)} "
+                f"entries with checksum {sub.checksum}"
+            )
         for d, rank, f in sub.entries:
             key = serialize.word_to_compact(d.word)
             agg[key] = agg.get(key, 0) + f
@@ -248,11 +256,14 @@ def cmd_oracle_check(args):
         "summand_dims": sorted(p.dim() for p in parts),
         "functor": functor,
         "oracle": agg,
-        "agree": agg == functor,
+        "agree": agg == functor and not broken,
         "checksum": report.checksum,
         "complete": report.complete,
         "seed": seed,
     }
+    if not payload["agree"]:
+        summed = "the summands' multiplicities differ from the module's"
+        payload["reason"] = "; ".join(broken) or summed
     emit(args, payload)
     return 0 if payload["agree"] else 1
 

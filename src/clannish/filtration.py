@@ -13,7 +13,9 @@ from .relations import walk_letter_relation
 from . import walks as walks_mod
 from .walks import (
     rw_descriptor,
+    walk_letter_tail,
     walk_prefix_inverse,
+    walk_shape,
     walk_star,
     walk_suffix,
     walk_vertex,
@@ -72,7 +74,9 @@ def _suffix_plus_minus(rep, letters, end):
     """D^+ and D^- of l1...ln C' as l1(D(l2...ln C')), memoised per module by suffix.
 
     ``end`` names what follows the letters: ("finite", v, need) for the
-    trivial walk at v, or ("right", period) for the periodic tail.
+    trivial walk at v, ("right", period) for the periodic tail, or
+    ("span", v) for the pair (full, 0) at v, from which the letters of a
+    period R = R(l1...ln) carry the bound (R(full), R(0)).
     """
     cache = rep._filtration_cache
     key = ("D", letters, end)
@@ -84,6 +88,9 @@ def _suffix_plus_minus(rep, letters, end):
             hit = (rel.image(plus), rel.image(minus))
         elif end[0] == "finite":
             hit = _finite_start(rep, end[1], end[2])
+        elif end[0] == "span":
+            p, d = rep.field.p, rep.prime_dim(end[1])
+            hit = (Subspace.full(p, d), Subspace.zero(p, d))
         else:
             lower, upper = _walk_relation(rep, end[1]).stable_pair()
             hit = (upper, lower)
@@ -91,21 +98,57 @@ def _suffix_plus_minus(rep, letters, end):
     return hit
 
 
-def walk_plus_minus(rep, walk):
-    """(D^+(M), D^-(M)) for a walk whose word lies in some H(l, eps)."""
-    pres = rep.pres
+def _open_pair(rep, letters, end):
+    """(D^+, D^-) of l1...ln C' while its gap dim D^+ - dim D^- is open
+    (positive), or None once it is closed; memoised per module by suffix.
+
+    Prepending a letter maps both spaces through its relation R, and
+    gap(R(U), R(W)) <= gap(U, W) for W <= U, so a closed suffix closes every
+    walk that ends in it and takes no image.  A periodic tail is closed when the bound
+    (R(full), R(0)) of its period is: R(0) <= lower <= upper <= R(full) for
+    its stable pair.  Every root checks D^- <= D^+, which the gap needs.
+    """
+    cache = rep._filtration_cache
+    key = ("O", letters, end)
+    if key in cache:
+        return cache[key]
+    if letters:
+        closed = _open_pair(rep, letters[1:], end) is None
+    elif end[0] == "right":
+        period = end[1]
+        span = ("span", walk_letter_tail(rep.pres, period[-1]))
+        closed = _open_pair(rep, period, span) is None
+    else:
+        closed = False
+    hit = None
+    if not closed:
+        plus, minus = _suffix_plus_minus(rep, letters, end)
+        if not letters and not minus <= plus:
+            raise SpaceMismatch("a walk filtration starts with D^- outside D^+")
+        if plus.dim > minus.dim:
+            hit = (plus, minus)
+    cache[key] = hit
+    return hit
+
+
+def _walk_end(pres, walk):
+    """(letters, end): where the filtration memo keeps a one-sided walk,
+    once its word is known to be right-end-admissible."""
     word = walk_star(pres, walk)
     if not words_mod.is_right_end_admissible(pres, word):
         raise NotRightEndAdmissible("walk filtration needs a right-end-admissible word")
     if walk.shape == "finite":
         n = len(walk.letters)
         need = -pres.sign(word.letter_at(n).inverse()) if n else word.eps
-        end = ("finite", walk_vertex(pres, walk, n), need)
-    elif walk.shape == "right":
-        end = ("right", walk.period)
-    else:
-        raise NotRightEndAdmissible("two-sided walks have no one-sided filtration")
-    return _suffix_plus_minus(rep, walk.letters, end)
+        return walk.letters, ("finite", walk_vertex(pres, walk, n), need)
+    if walk.shape == "right":
+        return walk.letters, ("right", walk.period)
+    raise NotRightEndAdmissible("two-sided walks have no one-sided filtration")
+
+
+def walk_plus_minus(rep, walk):
+    """(D^+(M), D^-(M)) for a walk whose word lies in some H(l, eps)."""
+    return _suffix_plus_minus(rep, *_walk_end(rep.pres, walk))
 
 
 @dataclass
@@ -175,7 +218,9 @@ def candidate_descriptors(pres, dim, max_len=None, max_period=None):
     A contributing descriptor w has |J_w| <= dim, so asymmetric strings have
     length <= dim - 1, symmetric strings length <= 2 dim - 1, asymmetric
     bands period <= dim and symmetric bands period <= 2 dim.  Symmetric
-    shapes only exist in the presence of special loops.
+    shapes only exist in the presence of special loops.  At the default
+    bounds, a list already made for a larger dim is filtered, not enumerated
+    again: both are sorted by ``word_key``, so the filter keeps the order.
     """
     key = (dim, max_len, max_period)
     hit = pres._descriptors.get(key)
@@ -185,13 +230,24 @@ def candidate_descriptors(pres, dim, max_len=None, max_period=None):
     band_per = dim if max_period is None else max_period
     sym_len = 2 * dim - 1 if max_len is None and pres.special else asym_len
     sym_per = 2 * dim if max_period is None and pres.special else band_per
-    # one enumeration each, at the symmetric bound: both lists are sorted by
-    # length first, so the asymmetric words keep their place ahead of the
-    # longer symmetric ones
-    strings = words_mod.enumerate_strings(pres, sym_len)
-    bands = words_mod.enumerate_bands(pres, sym_per)
-    descs = [d for d in strings if d.symmetric or len(d.word.letters) <= asym_len]
-    descs += [d for d in bands if d.symmetric or len(d.word.period) <= band_per]
+
+    def fits(d):
+        if d.word.shape == "finite":
+            return len(d.word.letters) <= (sym_len if d.symmetric else asym_len)
+        return len(d.word.period) <= (sym_per if d.symmetric else band_per)
+
+    larger = ()
+    if max_len is None and max_period is None:
+        larger = [k[0] for k in pres._descriptors if k[0] > dim and k[1:] == (None, None)]
+    if larger:
+        descs = [d for d in pres._descriptors[(min(larger), None, None)] if fits(d)]
+    else:
+        # one enumeration each, at the symmetric bound: both lists are sorted
+        # by length first, so the asymmetric words keep their place ahead of
+        # the longer symmetric ones
+        strings = words_mod.enumerate_strings(pres, sym_len)
+        bands = words_mod.enumerate_bands(pres, sym_per)
+        descs = [d for d in strings + bands if fits(d)]
     pres._descriptors[key] = descs
     return descs
 
@@ -202,36 +258,50 @@ def multiplicities(rep, max_len=None, max_period=None, descriptors=None):
     checksum = sum of |J_w| * f_dim; ``complete`` records whether it reaches
     dim_K of the module, which the dimension formula guarantees when the
     search bounds are at their defaults or larger.
+
+    f_dim(w) is 0 when either half-walk of w at min J_w has D^+ = D^-, so
+    only candidates whose two halves keep an open gap (``_open_pair``) get a
+    full ``rw_descriptor`` and ``f_dim``; every other candidate costs its
+    shape, its fit to the module and the admissibility of its two halves.
     """
-    dim = rep.dim()
+    pres, dim = rep.pres, rep.dim()
     if descriptors is None:
-        descriptors = candidate_descriptors(rep.pres, dim, max_len, max_period)
+        descriptors = candidate_descriptors(pres, dim, max_len, max_period)
     entries = []
     for desc in descriptors:
-        spec = _spec_of(rep.pres, desc)
-        if len(spec.Jw) > dim:
+        key = (words_mod.word_key(pres, desc.word), desc.word.shape)
+        shape = _memo(pres._shapes, key, walk_shape, pres, desc)
+        if len(shape.Jw) > dim or not _vertex_counts_fit(rep, shape):
             continue
-        if not _vertex_counts_fit(rep, spec):
-            continue
-        report = f_dim(rep, spec)
-        if report.f_dim:
-            entries.append((desc, report.rank, report.f_dim))
+        halves = _memo(pres._halves, key, _half_ends, pres, shape)
+        if all(_open_pair(rep, letters, end) is not None for letters, end in halves):
+            report = f_dim(rep, rw_descriptor(pres, desc))
+            if report.f_dim:
+                entries.append((desc, report.rank, report.f_dim))
     checksum = sum(r * f for _, r, f in entries)
     return DecompositionReport(entries, dim, checksum, checksum == dim)
 
 
-def _spec_of(pres, desc):
-    key = (words_mod.word_key(pres, desc.word), desc.word.shape)
-    hit = pres._specs.get(key)
+def _memo(cache, key, make, *args):
+    hit = cache.get(key)
     if hit is None:
-        hit = pres._specs[key] = rw_descriptor(pres, desc)
+        hit = cache[key] = make(*args)
     return hit
 
 
-def _vertex_counts_fit(rep, spec):
+def _half_ends(pres, shape):
+    """The memo places of the two half-walks that f_dim intersects."""
+    i = min(shape.Jw)
+    return (
+        _walk_end(pres, walk_suffix(pres, shape.walk, i)),
+        _walk_end(pres, walk_prefix_inverse(pres, shape.walk, i)),
+    )
+
+
+def _vertex_counts_fit(rep, shape):
     """A summand of shape w needs #(J_w at l) <= dim_K e_l M at each vertex."""
     counts = {}
-    for i in spec.Jw:
-        v = words_mod.vertex_at(rep.pres, spec.word, i)
+    for i in shape.Jw:
+        v = words_mod.vertex_at(rep.pres, shape.word, i)
         counts[v] = counts.get(v, 0) + 1
     return all(rep.dims.get(v, 0) >= c for v, c in counts.items())

@@ -73,11 +73,13 @@ class Presentation:
         self.special = dict(special)  # name -> SkewQuadratic
         self.zero_relations = tuple(tuple(r) for r in zero_relations)
         self.signs = dict(signs)  # Letter -> +-1
-        # the letter tables of words, and the candidate descriptors and
-        # their specs of filtration; each filled on first use
+        # the letter tables of words, and the candidate descriptors, their
+        # walk shapes and half-walk memo places of filtration; each filled on
+        # first use
         self._word_tables = None
         self._descriptors = {}
-        self._specs = {}
+        self._shapes = {}
+        self._halves = {}
 
     # -- arrows and letters ---------------------------------------------------
 

@@ -12,6 +12,7 @@ and periodic shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidParameterMatrix,
@@ -294,33 +295,51 @@ class RwSpec:
         return len(self.Jw)
 
 
-def rw_descriptor(pres, desc):
-    """Parameter-ring data for a string or band descriptor."""
+class WalkShape(NamedTuple):
+    """What a descriptor fixes before any parameter data: its kind, word,
+    canonical walk, index set J_w and, when symmetric, its symmetric form."""
+
+    kind: str
+    word: Word
+    walk: Walk
+    Jw: tuple
+    form: object = None
+
+
+def walk_shape(pres, desc):
+    """The shape part of ``rw_descriptor``: its preconditions, the canonical
+    walk (which checks end-admissibility) and J_w."""
     w = desc.word
     if not words_mod.is_relation_admissible(pres, w):
         raise PreconditionViolated("word is not relation-admissible")
     if w.shape == "zper" and not words_mod.band_shape(w.period).primitive:
         raise PreconditionViolated("band block must have minimal period")
     walk = canonical_walk(pres, w)
+    form = symmetric_decomposition(pres, desc) if desc.symmetric else None
     if isinstance(desc, StringDescriptor):
-        n = len(w.letters)
-        if not desc.symmetric:
-            Jw = tuple(range(n + 1))
-            pi = pi_automorphisms(pres, walk)
-            return RwSpec(ASYM_STRING, w, walk, Jw, pi, n=n)
-        form = symmetric_decomposition(pres, desc)
+        if form is None:
+            return WalkShape(ASYM_STRING, w, walk, tuple(range(len(w.letters) + 1)))
+        return WalkShape(SYM_STRING, w, walk, tuple(range(form.k + 1)), form)
+    if form is None:
+        return WalkShape(ASYM_BAND, w, walk, tuple(range(len(w.period))))
+    return WalkShape(SYM_BAND, w, walk, tuple(range(-form.p, form.r + 1)), form)
+
+
+def rw_descriptor(pres, desc):
+    """Parameter-ring data for a string or band descriptor."""
+    kind, w, walk, Jw, form = walk_shape(pres, desc)
+    if kind == ASYM_STRING:
+        return RwSpec(kind, w, walk, Jw, pi_automorphisms(pres, walk), n=len(w.letters))
+    if kind == SYM_STRING:
         k = form.k
         pi = pi_automorphisms(pres, walk)
         tau = pi[k].inverse() * pres.sigma(form.s) * pi[k]
         q_x = twist_quadratic(pi[k].inverse(), pres.quadratic(form.s))
-        return RwSpec(SYM_STRING, w, walk, tuple(range(k + 1)), pi, tau=tau, q_x=q_x, k=k, n=n)
-    m = len(w.period)
-    if not desc.symmetric:
-        Jw = tuple(range(m))
+        return RwSpec(kind, w, walk, Jw, pi, tau=tau, q_x=q_x, k=k, n=len(w.letters))
+    if kind == ASYM_BAND:
+        m = len(w.period)
         pi = pi_automorphisms(pres, walk, lo=-1, hi=m)
-        tau = pi[m].inverse() * pi[0]
-        return RwSpec(ASYM_BAND, w, walk, Jw, pi, tau=tau, n=m)
-    form = symmetric_decomposition(pres, desc)
+        return RwSpec(kind, w, walk, Jw, pi, tau=pi[m].inverse() * pi[0], n=m)
     p, r = form.p, form.r
     pi = pi_automorphisms(pres, walk, lo=-p - 1, hi=r + 1)
     rho = pi[r].inverse() * pres.sigma(form.s) * pi[r]
@@ -328,8 +347,7 @@ def rw_descriptor(pres, desc):
     q_x = twist_quadratic(pi[r].inverse(), pres.quadratic(form.s))
     q_y = twist_quadratic(pi[-p].inverse(), pres.quadratic(form.t))
     return RwSpec(
-        SYM_BAND, w, walk, tuple(range(-p, r + 1)), pi,
-        tau=tau, rho=rho, q_x=q_x, q_y=q_y, p=p, r=r, n=p + r + 1,
+        kind, w, walk, Jw, pi, tau=tau, rho=rho, q_x=q_x, q_y=q_y, p=p, r=r, n=p + r + 1,
     )
 
 

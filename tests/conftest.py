@@ -11,7 +11,7 @@ from clannish.fields import make_field
 
 # Property tests draw the same examples on every run, so tier-1 stays
 # deterministic, and keep to a few seconds in all.  ``kernel-deep`` draws ten
-# times as many, for a long run of one file (--hypothesis-profile kernel-deep).
+# times as many, for a long run of a few files (--hypothesis-profile kernel-deep).
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=100)
 settings.register_profile("kernel-deep", derandomize=True, deadline=None, max_examples=1000)
 

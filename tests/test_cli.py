@@ -399,3 +399,38 @@ def test_oracle_disagreement_exits_1_with_its_report(tmp_path, capsys, monkeypat
     assert code == 1 and "error" not in out
     assert out["agree"] is False and out["oracle"] == {"s*.a.s*": 2}
     assert out["functor"] == {"s*.a.s*": 1}
+
+
+def test_oracle_check_holds_each_summand_to_one_entry(tmp_path, capsys, monkeypatch):
+    # a planted functor bug that is additive over direct sums: f_dim doubled
+    # on one word.  The module's counts and the summed summand counts still
+    # agree; the per-summand contract |J_w| * f_dim = dim does not.
+    import dataclasses
+
+    import clannish.serialize as serialize
+    from clannish import filtration, homalg
+    from clannish.examples import module_catalog, one_loop_pair
+
+    cat = {repr(d.word): rep for d, _, rep in module_catalog(one_loop_pair(), 3, 2)}
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(serialize.representation_to_json(
+        homalg.direct_sum(cat["s*as*"], cat["s*"])
+    )))
+    code, honest = _main(capsys, "oracle-check", module)
+    assert code == 0 and honest["agree"] is True
+    assert set(honest) == {
+        "summand_dims", "functor", "oracle", "agree", "checksum", "complete", "seed"
+    }
+    real = filtration.f_dim
+
+    def doubled(rep, spec, index=None):
+        report = real(rep, spec, index)
+        if serialize.word_to_compact(report.word) == "s*.a.s*":
+            report = dataclasses.replace(report, f_dim=2 * report.f_dim)
+        return report
+
+    monkeypatch.setattr(filtration, "f_dim", doubled)
+    code, out = _main(capsys, "oracle-check", module)
+    assert code == 1 and "error" not in out
+    assert out["functor"] == out["oracle"] == {**honest["functor"], "s*.a.s*": 2}
+    assert out["agree"] is False and "entries with checksum" in out["reason"]

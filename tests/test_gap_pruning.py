@@ -1,0 +1,184 @@
+"""The gap-pruned sweep of ``filtration.multiplicities`` against the sweep it
+replaced, and the laws that make the pruning exact.
+
+Write gap(U, W) = dim U - dim W for W <= U.  f_dim(w) is 0 as soon as one
+half-walk of w has D^+ = D^-, a letter never widens the gap, and a periodic
+tail's stable pair lies between R(0) and R(full) of its period.  The
+reference sweep below runs ``f_dim`` on every candidate that fits the
+module, as ``multiplicities`` did before it skipped the closed ones.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from clannish import filtration
+from clannish.errors import SpaceMismatch
+from clannish.fields import Aut, make_field
+from clannish.filtration import (
+    DecompositionReport,
+    candidate_descriptors,
+    f_dim,
+    walk_plus_minus,
+)
+from clannish.linalg import Subspace
+from clannish.relations import SemilinearRelation
+from clannish.reps import Representation
+from clannish.walks import rw_descriptor, walk_prefix_inverse, walk_suffix
+from clannish.words import vertex_at
+from test_suffix_memo import PRESENTATIONS, _conjugated_sum
+
+# -- the reference sweep -------------------------------------------------------
+
+
+def _fits(rep, spec):
+    if len(spec.Jw) > rep.dim():
+        return False
+    counts = {}
+    for i in spec.Jw:
+        v = vertex_at(rep.pres, spec.word, i)
+        counts[v] = counts.get(v, 0) + 1
+    return all(rep.dims.get(v, 0) >= c for v, c in counts.items())
+
+
+def _open_halves(rep, spec):
+    """Whether each half-walk that f_dim intersects has D^+ != D^-."""
+    i = min(spec.Jw)
+    halves = (walk_suffix(rep.pres, spec.walk, i), walk_prefix_inverse(rep.pres, spec.walk, i))
+    return tuple(plus != minus for plus, minus in (walk_plus_minus(rep, h) for h in halves))
+
+
+def reference_multiplicities(rep):
+    """The unpruned sweep: (report, words whose two halves are both open)."""
+    entries, open_words = [], []
+    for desc in candidate_descriptors(rep.pres, rep.dim()):
+        spec = rw_descriptor(rep.pres, desc)
+        if not _fits(rep, spec):
+            continue
+        report = f_dim(rep, spec)
+        if all(_open_halves(rep, spec)):
+            open_words.append(desc.word)
+        elif report.f_dim:
+            raise AssertionError(f"{desc.word!r} has a closed half and f_dim {report.f_dim}")
+        if report.f_dim:
+            entries.append((desc, report.rank, report.f_dim))
+    checksum = sum(r * f for _, r, f in entries)
+    return DecompositionReport(entries, rep.dim(), checksum, checksum == rep.dim()), open_words
+
+
+def _pruned(rep):
+    """multiplicities on a fresh copy of rep, with the words it ran f_dim on."""
+    fresh = Representation(rep.pres, rep.dims, rep.mats)
+    evaluated = []
+
+    def counting(rep, spec, index=None):
+        evaluated.append(spec.word)
+        return f_dim(rep, spec, index)
+
+    with mock.patch.object(filtration, "f_dim", counting):
+        return filtration.multiplicities(fresh), evaluated
+
+
+_PRES = {}
+
+
+def _pres(name):
+    # one presentation object per name, as in a long-lived process: its
+    # candidate lists and shapes are shared by the modules drawn over it
+    if name not in _PRES:
+        make, args = PRESENTATIONS[name]
+        _PRES[name] = make(*args)
+    return _PRES[name]
+
+
+# -- the sweep ---------------------------------------------------------------
+
+
+@given(st.sampled_from(sorted(PRESENTATIONS)), st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_pruned_sweep_equals_the_reference_sweep(name, seed, kdim):
+    rep = _conjugated_sum(_pres(name), random.Random(seed), kdim)
+    want, open_words = reference_multiplicities(Representation(rep.pres, rep.dims, rep.mats))
+    got, evaluated = _pruned(rep)
+    assert got == want
+    assert got.complete
+    # exactly the candidates whose two halves are open reach f_dim
+    assert evaluated == open_words
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_pruning_skips_most_candidates(name):
+    rep = _conjugated_sum(_pres(name), random.Random(f"gap/{name}"), 8)
+    got, evaluated = _pruned(rep)
+    assert got.complete and len(evaluated) >= len(got.entries)
+    assert len(evaluated) < len(candidate_descriptors(rep.pres, 8))
+
+
+def test_a_candidate_with_either_half_closed_is_skipped(A4):
+    # on this module the trivial string at vertex 1 has D^+ != D^- after
+    # index 0 and D^+ = D^- before it; other candidates close the other way
+    rep = _conjugated_sum(A4, random.Random("gap/A4/10"), 4)
+    ref = Representation(rep.pres, rep.dims, rep.mats)
+    specs = [rw_descriptor(A4, d) for d in candidate_descriptors(A4, rep.dim())]
+    seen = {_open_halves(ref, spec) for spec in specs if _fits(ref, spec)}
+    assert {(True, False), (False, True)} <= seen
+    want, open_words = reference_multiplicities(ref)
+    got, evaluated = _pruned(rep)
+    assert got == want and evaluated == open_words
+
+
+def test_a_root_with_d_minus_outside_d_plus_raises(E1, monkeypatch):
+    rep = _conjugated_sum(E1, random.Random(0), 4)
+    p, d = rep.field.p, rep.prime_dim("1")
+
+    def swapped(rep, v, need):
+        return Subspace.zero(p, d), Subspace.full(p, d)
+
+    monkeypatch.setattr(filtration, "_finite_start", swapped)
+    with pytest.raises(SpaceMismatch):
+        filtration._open_pair(rep, (), ("finite", "1", 1))
+    with pytest.raises(SpaceMismatch):
+        filtration.multiplicities(Representation(rep.pres, rep.dims, rep.mats))
+
+
+# -- the laws ------------------------------------------------------------------
+
+
+@st.composite
+def _relation_and_flag(draw, square=False):
+    """A relation R: U -> V over GF(p) with subspaces W <= X of U; V = U
+    when ``square``."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    u = draw(st.integers(1, 4))
+    v = u if square else draw(st.integers(1, 4))
+
+    def rows(width, most):
+        row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+        return draw(st.lists(row, max_size=most))
+
+    field = make_field(p, 1)
+    rel = SemilinearRelation(field, Aut(field, 0), u, v, Subspace(p, u + v, rows(u + v, 6)))
+    small = rows(u, 3)
+    return rel, Subspace(p, u, small), Subspace(p, u, small + rows(u, 3))
+
+
+def _gap(upper, lower):
+    assert lower <= upper
+    return upper.dim - lower.dim
+
+
+@given(_relation_and_flag())
+def test_a_relation_never_widens_the_gap(case):
+    rel, lower, upper = case
+    assert _gap(rel.image(upper), rel.image(lower)) <= _gap(upper, lower)
+
+
+@given(_relation_and_flag(square=True))
+def test_the_stable_pair_lies_inside_the_period_bound(case):
+    rel = case[0]
+    lower, upper = rel.stable_pair()
+    low_bound, high_bound = rel.image(rel.zero_source()), rel.image(rel.full_source())
+    assert low_bound <= lower <= upper <= high_bound
+    assert _gap(upper, lower) <= _gap(high_bound, low_bound)

@@ -268,6 +268,24 @@ def test_candidate_lists_equal_the_reference(name):
         assert all(len(rw_descriptor(pres, d).Jw) > dim for d in ref if d not in new)
 
 
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_a_smaller_default_candidate_list_is_the_larger_one_filtered(name, monkeypatch):
+    from clannish import words
+
+    factory, args, _, _ = PRESENTATIONS[name]
+    pres = factory(*args)
+    candidate_descriptors(pres, 8)
+    fresh = {dim: candidate_descriptors(factory(*args), dim) for dim in range(8)}
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated again below a cached default bound")
+
+    monkeypatch.setattr(words, "enumerate_strings", no_enumeration)
+    monkeypatch.setattr(words, "enumerate_bands", no_enumeration)
+    for dim in range(7, -1, -1):
+        assert candidate_descriptors(pres, dim) == fresh[dim]
+
+
 # -- bands by brute force -------------------------------------------------------
 
 # name -> the largest period listed by brute force
