@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import filtration, homalg, serialize, walks, words
+from . import filtration, serialize, walks, words
 from .errors import ClannishError, InvalidInput, UsageError
 from .examples import BUNDLED
 from .presentation import algebra_dimension, enumerate_admissible_paths
@@ -234,6 +234,9 @@ def cmd_decompose(args):
 
 
 def cmd_oracle_check(args):
+    # imported here, so that no other command loads the oracle
+    from . import homalg
+
     seed = homalg._seed()
     rep = load_module(args.module, args.presentation)
     report = filtration.multiplicities(rep, args.max_len, args.max_period)

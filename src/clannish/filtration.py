@@ -11,15 +11,7 @@ from .presentation import Letter
 from . import relations as rel_mod
 from .relations import walk_letter_relation
 from . import walks as walks_mod
-from .walks import (
-    rw_descriptor,
-    walk_letter_tail,
-    walk_prefix_inverse,
-    walk_shape,
-    walk_star,
-    walk_suffix,
-    walk_vertex,
-)
+from .walks import rw_descriptor, walk_letter_tail, walk_shape, walk_star
 from . import words as words_mod
 
 
@@ -131,16 +123,18 @@ def _open_pair(rep, letters, end):
     return hit
 
 
-def _walk_end(pres, walk):
-    """(letters, end): where the filtration memo keeps a one-sided walk,
-    once its word is known to be right-end-admissible."""
-    word = walk_star(pres, walk)
-    if not words_mod.is_right_end_admissible(pres, word):
+def _finite_end(pres, v, need):
+    """The memo root ("finite", v, need) of a walk that ends at v with
+    need, once that end is known to be right-end-admissible."""
+    if not words_mod.is_admissible_end(pres, v, need):
         raise NotRightEndAdmissible("walk filtration needs a right-end-admissible word")
+    return ("finite", v, need)
+
+
+def _walk_end(pres, walk):
+    """(letters, end): where the filtration memo keeps a one-sided walk."""
     if walk.shape == "finite":
-        n = len(walk.letters)
-        need = -pres.sign(word.letter_at(n).inverse()) if n else word.eps
-        return walk.letters, ("finite", walk_vertex(pres, walk, n), need)
+        return walk.letters, _finite_end(pres, *words_mod.right_end(pres, walk_star(pres, walk)))
     if walk.shape == "right":
         return walk.letters, ("right", walk.period)
     raise NotRightEndAdmissible("two-sided walks have no one-sided filtration")
@@ -171,10 +165,9 @@ def f_dim(rep, desc_or_spec, index=None):
         else rw_descriptor(pres, desc_or_spec)
     )
     i = min(spec.Jw) if index is None else index
-    after = walk_suffix(pres, spec.walk, i)
-    before = walk_prefix_inverse(pres, spec.walk, i)
-    d_plus, d_minus = walk_plus_minus(rep, after)
-    e_plus, e_minus = walk_plus_minus(rep, before)
+    after, before = _half_ends(pres, spec, i)
+    d_plus, d_minus = _suffix_plus_minus(rep, *after)
+    e_plus, e_minus = _suffix_plus_minus(rep, *before)
     top = d_plus.intersect(e_plus)
     bottom = d_plus.intersect(e_minus).sum(d_minus.intersect(e_plus))
     field = rep.field
@@ -273,7 +266,7 @@ def multiplicities(rep, max_len=None, max_period=None, descriptors=None):
         shape = _memo(pres._shapes, key, walk_shape, pres, desc)
         if len(shape.Jw) > dim or not _vertex_counts_fit(rep, shape):
             continue
-        halves = _memo(pres._halves, key, _half_ends, pres, shape)
+        halves = _memo(pres._halves, key, _half_ends, pres, shape, min(shape.Jw))
         if all(_open_pair(rep, letters, end) is not None for letters, end in halves):
             report = f_dim(rep, rw_descriptor(pres, desc))
             if report.f_dim:
@@ -289,13 +282,37 @@ def _memo(cache, key, make, *args):
     return hit
 
 
-def _half_ends(pres, shape):
-    """The memo places of the two half-walks that f_dim intersects."""
-    i = min(shape.Jw)
-    return (
-        _walk_end(pres, walk_suffix(pres, shape.walk, i)),
-        _walk_end(pres, walk_prefix_inverse(pres, shape.walk, i)),
-    )
+def _half_ends(pres, shape, i):
+    """The memo places (letters, end) of the two half-walks C_{>i} and
+    (C_{<=i})^-1 that f_dim intersects at i, read off the shape's walk and
+    word as ``_walk_end`` finds them for ``walk_suffix`` and
+    ``walk_prefix_inverse``.
+
+    A string's halves end at its right end and at ("finite", v_0, -eps);
+    both must be right-end-admissible.  A suffix and an inverted prefix of a
+    chain are chains, so the word is validated once, not each half.  A
+    band's halves run into a rotated block and an inverted block, after the
+    letters up to index 0 when a two-sided walk is cut off the positive or
+    the non-positive side.
+    """
+    walk, word = shape.walk, shape.word
+    if walk.shape == "finite":
+        words_mod.validate_word(pres, word)
+        right = _finite_end(pres, *words_mod.right_end(pres, word))
+        left = _finite_end(pres, word.v0, -word.eps)
+        before = tuple(l.inverse() for l in reversed(walk.letters[:i]))
+        return (walk.letters[i:], right), (before, left)
+    at, m = walk.letter_at, len(walk.period)
+    if walk.shape == "zper" or i >= 0:
+        after = ((), ("right", tuple(at(i + 1 + j) for j in range(m))))
+    else:
+        after = (tuple(at(j) for j in range(i + 1, 1)), ("right", walk.period))
+    if walk.shape == "zper" or i <= 0:
+        before = ((), ("right", tuple(at(i - j).inverse() for j in range(m))))
+    else:
+        prefix = tuple(at(j).inverse() for j in range(i, 0, -1))
+        before = (prefix, ("right", tuple(at(-j).inverse() for j in range(m))))
+    return after, before
 
 
 def _vertex_counts_fit(rep, shape):

@@ -11,6 +11,7 @@ composition order: in a path ``a b``, the arrow ``b`` is applied first, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadQuadratic,
@@ -22,21 +23,26 @@ from .fields import Aut
 from .skewquad import SkewQuadratic, classify_quadratic
 
 _KIND_RANK = {"d": 0, "i": 1, "s": 2}
+_INVERSE_KIND = {"d": "i", "i": "d"}
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A direct ordinary letter, an inverse ordinary letter, or a star letter."""
+class Letter(NamedTuple):
+    """A direct ordinary letter, an inverse ordinary letter, or a star letter.
+
+    A tuple, so that hashing and comparison run in C; order letters with
+    ``key=Letter.key``, not by the tuple order.
+    """
 
     kind: str  # 'd', 'i' or 's'
     name: str
 
     def inverse(self):
-        if self.kind == "d":
-            return Letter("i", self.name)
-        if self.kind == "i":
-            return Letter("d", self.name)
-        return self
+        kind, name = self
+        if kind == "s":
+            return self
+        # the hottest constructor: tuple.__new__ skips the Python-level one
+        return _new_tuple(Letter, (_INVERSE_KIND[kind], name))
 
     @property
     def is_star(self):
@@ -73,6 +79,11 @@ class Presentation:
         self.special = dict(special)  # name -> SkewQuadratic
         self.zero_relations = tuple(tuple(r) for r in zero_relations)
         self.signs = dict(signs)  # Letter -> +-1
+        # vertex -> its special loops by name, read by every admissibility test
+        self._specials_at = {
+            v: tuple(s for s in sorted(self.special) if self.arrows[s].source == v)
+            for v in self.vertices
+        }
         # the letter tables of words, and the candidate descriptors, their
         # walk shapes and half-walk memo places of filtration; each filled on
         # first use
@@ -111,7 +122,8 @@ class Presentation:
         return self.signs[letter]
 
     def specials_at(self, vertex):
-        return [s for s in sorted(self.special) if self.arrows[s].source == vertex]
+        """The special loops at a vertex, sorted by name."""
+        return self._specials_at.get(vertex, ())
 
     # -- paths ----------------------------------------------------------------
 

@@ -34,8 +34,9 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class WalkLetter:
+class WalkLetter(NamedTuple):
+    """An arrow with a direction; a tuple, so hashed and compared in C."""
+
     name: str
     direct: bool
 
@@ -138,22 +139,24 @@ def finite_walk(pres, letters, v0=None, eps=None):
 def make_walk_from_word(pres, w, orientations):
     """Replace each star letter of w by the oriented walk letter.
 
-    ``orientations``: mapping position -> bool (direct) for star positions;
-    positions are taken modulo the period for periodic words.
+    ``orientations``: mapping position -> bool (direct), called at star
+    positions only (1..m and 0..1-m for a periodic word of period m); an
+    ordinary letter keeps the direction of its kind.
     """
-    def orient(letter, i):
-        if not letter.is_star:
-            return WalkLetter(letter.name, letter.kind == "d")
-        return WalkLetter(letter.name, orientations(i))
+    def orient(positions, letters):
+        return tuple(
+            WalkLetter(l.name, orientations(i) if l.kind == "s" else l.kind == "d")
+            for i, l in zip(positions, letters)
+        )
 
     if w.shape == "finite":
-        letters = tuple(orient(w.letter_at(i), i) for i in range(1, len(w.letters) + 1))
-        return Walk("finite", w.v0, w.eps, letters)
+        return Walk("finite", w.v0, w.eps, orient(range(1, len(w.letters) + 1), w.letters))
     if w.shape == "zper":
         m = len(w.period)
-        pos = tuple(orient(w.letter_at(i), i) for i in range(1, m + 1))
-        neg = tuple(orient(w.letter_at(-j), -j) for j in range(m))
-        if all(neg[j] == pos[m - 1 - j] for j in range(m)):
+        pos = orient(range(1, m + 1), w.period)
+        # positions 0, -1, ..., 1 - m hold w_m, w_{m-1}, ..., w_1
+        neg = orient(range(0, -m, -1), w.period[::-1])
+        if neg == pos[::-1]:
             return Walk("zper", w.v0, w.eps, (), pos)
         return Walk("ztwo", w.v0, w.eps, (), pos, neg)
     raise NotEndAdmissible("canonical walks exist for finite or periodic words")

@@ -285,16 +285,22 @@ def is_relation_admissible(pres, w):
     return not _hits_pattern(seq, tables)
 
 
-def is_right_end_admissible(pres, w):
-    if w.shape != "finite":
-        return True
+def right_end(pres, w):
+    """(v_n, need) for a finite word of length n: the vertex it ends at and
+    the sign of the trivial word w_{>n} there, which a next letter would
+    need (eps itself when n = 0)."""
     n = len(w.letters)
-    v = vertex_at(pres, w, n)
-    need = -pres.sign(w.letters[-1].inverse()) if n else w.eps
-    for s in pres.specials_at(v):
-        if pres.sign(Letter("s", s)) == need:
-            return False
-    return True
+    return vertex_at(pres, w, n), (-pres.sign(w.letters[-1].inverse()) if n else w.eps)
+
+
+def is_admissible_end(pres, v, need):
+    """Whether a finite word may end at v with need: no special loop there
+    has that sign, so no star letter could follow."""
+    return all(pres.sign(Letter("s", s)) != need for s in pres.specials_at(v))
+
+
+def is_right_end_admissible(pres, w):
+    return w.shape != "finite" or is_admissible_end(pres, *right_end(pres, w))
 
 
 def is_end_admissible(pres, w):

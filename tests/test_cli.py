@@ -107,6 +107,30 @@ def test_build_fdim_decompose_roundtrip(tmp_path):
     assert check["agree"] and check["complete"]
 
 
+def test_only_oracle_check_imports_the_oracle(tmp_path):
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(_e1_module()))
+    probe = (
+        "import io, sys\n"
+        "import clannish.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = clannish.cli.main([sys.argv[1], sys.argv[2]])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, 'clannish.homalg' in sys.modules)\n"
+    )
+
+    def loaded(command):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, command, str(module)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert loaded("decompose") == ["0", "False"]
+    assert loaded("oracle-check") == ["0", "True"]
+
+
 def test_decompose_five_dimensional_sample(tmp_path):
     import clannish.serialize as serialize
     from clannish.examples import module_catalog, one_loop_pair

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clannish import filtration
-from clannish.errors import SpaceMismatch
+from clannish.errors import ClannishError, NotRightEndAdmissible, SpaceMismatch
 from clannish.fields import Aut, make_field
 from clannish.filtration import (
     DecompositionReport,
@@ -27,7 +27,16 @@ from clannish.filtration import (
 from clannish.linalg import Subspace
 from clannish.relations import SemilinearRelation
 from clannish.reps import Representation
-from clannish.walks import rw_descriptor, walk_prefix_inverse, walk_suffix
+from clannish import words as words_mod
+from clannish.walks import (
+    ASYM_STRING,
+    WalkShape,
+    rw_descriptor,
+    special_direct_walk,
+    walk_prefix_inverse,
+    walk_shape,
+    walk_suffix,
+)
 from clannish.words import vertex_at
 from test_suffix_memo import PRESENTATIONS, _conjugated_sum
 
@@ -141,6 +150,56 @@ def test_a_root_with_d_minus_outside_d_plus_raises(E1, monkeypatch):
         filtration._open_pair(rep, (), ("finite", "1", 1))
     with pytest.raises(SpaceMismatch):
         filtration.multiplicities(Representation(rep.pres, rep.dims, rep.mats))
+
+
+# -- the half-walk memo places -------------------------------------------------
+
+
+def _outcome(make):
+    """What make() returns, or the type of what it raises."""
+    try:
+        return make()
+    except ClannishError as exc:
+        return type(exc)
+
+
+def _shapes_with_cut_ends(pres, dim):
+    """The shape of every candidate with d <= dim, and for each string of
+    length >= 2 also its word without the first letter, oriented by
+    ``special_direct_walk``: a chain whose left end need not be
+    end-admissible, so that one of its halves may fail right-end-admissibility."""
+    for desc in candidate_descriptors(pres, dim):
+        shape = walk_shape(pres, desc)
+        yield shape
+        if shape.walk.shape == "finite" and len(shape.word.letters) >= 2:
+            cut = words_mod.suffix(pres, shape.word, 1)
+            n = len(cut.letters)
+            yield WalkShape(ASYM_STRING, cut, special_direct_walk(pres, cut), tuple(range(n + 1)))
+
+
+def test_half_ends_read_off_the_word_are_the_walks_memo_places():
+    # every i in J_w of every candidate with d <= 8, on every presentation:
+    # _half_ends gives the (letters, end) that _walk_end gives for the built
+    # walks C_{>i} and (C_{<=i})^-1, or raises the same exception type
+    kinds, raised = set(), set()
+    for name in sorted(PRESENTATIONS):
+        pres = _pres(name)
+        for shape in _shapes_with_cut_ends(pres, 8):
+            for i in shape.Jw:
+                want = _outcome(
+                    lambda: tuple(
+                        filtration._walk_end(pres, half(pres, shape.walk, i))
+                        for half in (walk_suffix, walk_prefix_inverse)
+                    )
+                )
+                assert _outcome(lambda: filtration._half_ends(pres, shape, i)) == want
+                kinds.add((shape.walk.shape, (i > 0) - (i < 0)))
+                if isinstance(want, type):
+                    raised.add(want)
+    # a raise, and every kind of cut: a two-sided walk on either side of 0
+    assert raised == {NotRightEndAdmissible}
+    assert {("finite", 0), ("finite", 1), ("zper", 0), ("zper", 1)} <= kinds
+    assert {("ztwo", -1), ("ztwo", 0), ("ztwo", 1)} <= kinds
 
 
 # -- the laws ------------------------------------------------------------------

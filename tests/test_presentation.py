@@ -241,3 +241,44 @@ def _canonical_two_sided_walk(pres, ell, depth):
     else:
         walk = Walk("finite", ell, 1, ())
     return walk, len(d_letters)
+
+
+# -- letters -------------------------------------------------------------------
+
+
+def _all_letters(*presentations):
+    return [l for pres in presentations for l in pres.letters()]
+
+
+def test_equal_letters_hash_equal(E1, GP2, A4, DIEU):
+    for letter in _all_letters(E1, GP2, A4, DIEU):
+        twin = Letter(letter.kind, letter.name)
+        assert twin == letter and hash(twin) == hash(letter)
+        assert {letter: 1}[twin] == 1
+
+
+def test_letter_inverse_is_an_involution(E1, GP2, A4, DIEU):
+    for letter in _all_letters(E1, GP2, A4, DIEU):
+        assert letter.inverse().inverse() == letter
+        assert (letter.inverse() == letter) == letter.is_star
+
+
+def test_letter_key_order_is_unchanged(E1, GP2, A4, DIEU):
+    want = {
+        E1: ["a", "a^-1", "s*"],
+        GP2: ["x", "y", "x^-1", "y^-1"],
+        A4: ["a", "b", "c", "a^-1", "b^-1", "c^-1", "s*"],
+        DIEU: ["F", "V", "F^-1", "V^-1"],
+    }
+    for pres, order in want.items():
+        assert [repr(l) for l in sorted(pres.letters(), key=Letter.key)] == order
+
+
+def test_a_letter_never_equals_a_walk_letter(E1, GP2, A4, DIEU):
+    from clannish.walks import WalkLetter
+
+    for letter in _all_letters(E1, GP2, A4, DIEU):
+        for direct in (True, False):
+            walk_letter = WalkLetter(letter.name, direct)
+            assert letter != walk_letter and walk_letter != letter
+            assert len({letter, walk_letter}) == 2
