@@ -198,8 +198,12 @@ def cmd_build(args):
     rep = walks.build_module(pres, spec, module)
     payload = serialize.representation_to_json(rep)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2 if args.pretty else None, sort_keys=True)
+        text = json.dumps(payload, indent=2 if args.pretty else None, sort_keys=True)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.output}: {exc.strerror}") from exc
         emit(args, {"written": args.output, "dim": rep.dim()})
     else:
         emit(args, payload)

@@ -3,7 +3,7 @@ module decomposition report driven by the dimension formula."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotRightEndAdmissible, SpaceMismatch
 from .linalg import Subspace, is_k_stable, k_dim
@@ -145,8 +145,7 @@ def walk_plus_minus(rep, walk):
     return _suffix_plus_minus(rep, *_walk_end(rep.pres, walk))
 
 
-@dataclass
-class FunctorReport:
+class FunctorReport(NamedTuple):
     word: object
     kind: str
     index: int
@@ -178,8 +177,7 @@ def f_dim(rep, desc_or_spec, index=None):
     return FunctorReport(spec.word, spec.kind, i, len(spec.Jw), t, b, t - b)
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     entries: list  # (descriptor, rank, f_dim)
     dim: int
     checksum: int

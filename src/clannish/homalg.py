@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInput, OracleFailure, PresentationMismatch, SpaceMismatch, TooLarge
 from .fields import Aut, _poly_divmod, _poly_gcd, _poly_mul, _poly_powmod, _poly_sub, _trim
@@ -121,8 +121,7 @@ def _coords_in_basis(field, basis_matrix, vector):
 # -- Hom spaces ------------------------------------------------------------------
 
 
-@dataclass
-class HomSpace:
+class HomSpace(NamedTuple):
     source: Representation
     target: Representation
     basis: list  # list of dict vertex -> Matrix

@@ -10,7 +10,6 @@ composition order: in a path ``a b``, the arrow ``b`` is applied first, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -59,8 +58,7 @@ class Letter(NamedTuple):
         return f"{self.name}*"
 
 
-@dataclass(frozen=True)
-class ArrowInfo:
+class ArrowInfo(NamedTuple):
     name: str
     source: str
     target: str

@@ -8,7 +8,7 @@ composites and inverses keep track of their twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotStabilized, SpaceMismatch
 from .fields import Aut
@@ -25,8 +25,7 @@ from .linalg import (
 CHECK_LAWS = False
 
 
-@dataclass(frozen=True)
-class SemilinearRelation:
+class SemilinearRelation(NamedTuple):
     """A relation from a src-dimensional to a tgt-dimensional K-space.
 
     ``space`` lives in prime-field coordinates of src (+) tgt; ``sigma`` is

@@ -9,7 +9,7 @@ functors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .errors import PreconditionViolated, SingularQuadratic
 from .fields import Aut, Field
@@ -21,18 +21,22 @@ SPLIT = 3
 NON_SEMISIMPLE = 4
 
 
-@dataclass(frozen=True)
-class SkewQuadratic:
-    """x^2 - beta*x + gamma in K[x;sigma], monic by construction."""
-
+class _QuadraticFields(NamedTuple):
     field: Field
     sigma: Aut
     beta: object
     gamma: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", self.field.el(self.beta))
-        object.__setattr__(self, "gamma", self.field.el(self.gamma))
+
+class SkewQuadratic(_QuadraticFields):
+    """x^2 - beta*x + gamma in K[x;sigma], monic by construction."""
+
+    # typing.NamedTuple forbids __new__ in its own body: the subclass
+    # normalises beta and gamma to field elements
+    __slots__ = ()
+
+    def __new__(cls, field, sigma, beta, gamma):
+        return super().__new__(cls, field, sigma, field.el(beta), field.el(gamma))
 
     def value(self, lam):
         """Evaluate at a scalar: sigma(lam)*lam - beta*lam + gamma."""
@@ -51,14 +55,13 @@ class SkewQuadratic:
         return f"x^2 - ({self.beta!r})x + ({self.gamma!r}) in K[x;{self.sigma!r}]"
 
 
-@dataclass
-class QuadraticReport:
+class QuadraticReport(NamedTuple):
     is_normal: bool
     is_central: bool
     is_nonsingular: bool
     case: int
     factorization: tuple | None
-    simple_modules: list = dataclass_field(default_factory=list)
+    simple_modules: list
 
     @property
     def is_semisimple(self):

@@ -11,7 +11,6 @@ and periodic shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -47,8 +46,7 @@ class WalkLetter(NamedTuple):
         return self.name if self.direct else f"{self.name}^-1"
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     shape: str  # 'finite' | 'right' | 'zper' | 'ztwo'
     v0: str
     eps: int
@@ -194,8 +192,7 @@ def special_inverse_walk(pres, w):
 # -- quiver of a walk ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WalkQuiver:
+class WalkQuiver(NamedTuple):
     """Arrows (i, j, label) meaning an arrow i -> j sent to the label arrow."""
 
     vertices: tuple
@@ -277,8 +274,7 @@ ASYM_BAND = "asym_band"
 SYM_BAND = "sym_band"
 
 
-@dataclass(frozen=True)
-class RwSpec:
+class RwSpec(NamedTuple):
     kind: str
     word: Word
     walk: Walk
@@ -399,8 +395,7 @@ def _alternating_monomial(l):
 # -- parameter modules ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RwModule:
+class RwModule(NamedTuple):
     """A finite-dimensional module over the parameter ring, given by matrices.
 
     dim: K-dimension; lam: the matrix of the x-action (strings/asym bands) or

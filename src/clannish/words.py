@@ -11,7 +11,6 @@ decided on a finite horizon past which both sides are in periodic lock-step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -27,8 +26,7 @@ NATURALLY_DIRECT = "direct"
 NATURALLY_INVERSE = "inverse"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     shape: str  # 'finite' | 'right' | 'zper'
     v0: str
     eps: int
@@ -395,8 +393,7 @@ def position_norm(pres, w, i):
 # -- strings and bands --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StringDescriptor:
+class StringDescriptor(NamedTuple):
     word: Word
     symmetric: bool
 
@@ -405,8 +402,7 @@ class StringDescriptor:
         return "sym_string" if self.symmetric else "asym_string"
 
 
-@dataclass(frozen=True)
-class BandDescriptor:
+class BandDescriptor(NamedTuple):
     word: Word
     symmetric: bool
 
@@ -455,18 +451,24 @@ def enumerate_strings(pres, max_len):
     if max_len < 0:
         return []
     tables = _word_tables(pres)
+    rank = tables.rank
     found = []
 
-    def emit(word):
+    def emit(seq):
         # every letter sequence is generated once, and so is its inverse:
-        # keep the word when it sorts no later than its inverse
-        key, inverse_key = word_key(pres, word), word_key(pres, invert_word(pres, word))
-        if key <= inverse_key:
-            found.append((key, StringDescriptor(word, symmetric=key == inverse_key)))
+        # keep the word when it sorts no later than its inverse.  The first
+        # letter fixes v0 and eps, so word_key order on words of one length
+        # is the order of their letter ranks.
+        codes = tuple(rank[l] for l in seq)
+        inverse_codes = tuple(rank[l.inverse()] for l in reversed(seq))
+        if codes <= inverse_codes:
+            word = Word("finite", pres.head(seq[0]), pres.sign(seq[0]), seq)
+            found.append(((len(seq), codes), StringDescriptor(word, codes == inverse_codes)))
 
+    # a trivial word sorts before its inverse, which differs only in eps
     for v in sorted(pres.vertices):
         if not pres.specials_at(v):
-            emit(trivial_word(pres, v, 1))
+            found.append(((0, (), v), StringDescriptor(trivial_word(pres, v, 1), False)))
 
     def interior_ok(seq):
         # end-admissibility at the vertex between the last two letters
@@ -494,7 +496,7 @@ def enumerate_strings(pres, max_len):
     while stack:
         seq = stack.pop()
         if end_ok(seq):
-            emit(Word("finite", pres.head(seq[0]), pres.sign(seq[0]), seq))
+            emit(seq)
         if len(seq) < max_len:
             for letter in tables.successors[seq[-1]]:
                 grown = seq + (letter,)
@@ -595,15 +597,13 @@ def enumerate_bands(pres, max_period):
     return sorted(found, key=lambda d: word_key(pres, d.word))
 
 
-@dataclass(frozen=True)
-class SymmetricStringForm:
+class SymmetricStringForm(NamedTuple):
     u: Word
     s: str
     k: int
 
 
-@dataclass(frozen=True)
-class SymmetricBandForm:
+class SymmetricBandForm(NamedTuple):
     u: Word
     v: Word
     s: str

@@ -116,7 +116,7 @@ def test_only_oracle_check_imports_the_oracle(tmp_path):
         "sys.stdout = io.StringIO()\n"
         "code = clannish.cli.main([sys.argv[1], sys.argv[2]])\n"
         "sys.stdout = sys.__stdout__\n"
-        "print(code, 'clannish.homalg' in sys.modules)\n"
+        "print(code, 'clannish.homalg' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
 
     def loaded(command):
@@ -127,8 +127,9 @@ def test_only_oracle_check_imports_the_oracle(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
 
-    assert loaded("decompose") == ["0", "False"]
-    assert loaded("oracle-check") == ["0", "True"]
+    # records are NamedTuples: no command pays for importing dataclasses
+    assert loaded("decompose") == ["0", "False", "False"]
+    assert loaded("oracle-check") == ["0", "True", "False"]
 
 
 def test_decompose_five_dimensional_sample(tmp_path):
@@ -189,6 +190,14 @@ BAD_INPUTS = {
     "missing file": (["validate", "{missing}"], None, "InvalidInput"),
     "malformed JSON": (["decompose", "{module}"], "{bad", "InvalidInput"),
     "unknown letter": (["build", "example:E1", "--word", "zz"], None, "InvalidInput"),
+    **{
+        f"output {what}": (
+            ["build", "example:GP2", "--word", "x^-1.y", "-o", target],
+            None,
+            "InvalidInput cannot write",
+        )
+        for what, target in (("in a missing directory", "{missing}/x.json"), ("a directory", "{tmp}"))
+    },
     "relation a.a broken": (["decompose", "{module}"], _a_squared_nonzero, "InvalidInput"),
     "sigma differs": (
         ["decompose", "{module}"],
@@ -254,7 +263,7 @@ def test_bad_input_gives_typed_error(tmp_path, argv, content, error):
         data = _e1_module()
         content(data)
         module.write_text(json.dumps(data))
-    argv = [a.format(module=module, missing=tmp_path / "missing.json") for a in argv]
+    argv = [a.format(module=module, missing=tmp_path / "missing.json", tmp=tmp_path) for a in argv]
     proc = run_cli(*argv, check=False)
     assert proc.returncode == 1, proc.stderr
     kind, _, named = error.partition(" ")  # a bad key must be named in the detail
@@ -429,8 +438,6 @@ def test_oracle_check_holds_each_summand_to_one_entry(tmp_path, capsys, monkeypa
     # a planted functor bug that is additive over direct sums: f_dim doubled
     # on one word.  The module's counts and the summed summand counts still
     # agree; the per-summand contract |J_w| * f_dim = dim does not.
-    import dataclasses
-
     import clannish.serialize as serialize
     from clannish import filtration, homalg
     from clannish.examples import module_catalog, one_loop_pair
@@ -450,7 +457,7 @@ def test_oracle_check_holds_each_summand_to_one_entry(tmp_path, capsys, monkeypa
     def doubled(rep, spec, index=None):
         report = real(rep, spec, index)
         if serialize.word_to_compact(report.word) == "s*.a.s*":
-            report = dataclasses.replace(report, f_dim=2 * report.f_dim)
+            report = report._replace(f_dim=2 * report.f_dim)
         return report
 
     monkeypatch.setattr(filtration, "f_dim", doubled)
@@ -458,3 +465,36 @@ def test_oracle_check_holds_each_summand_to_one_entry(tmp_path, capsys, monkeypa
     assert code == 1 and "error" not in out
     assert out["functor"] == out["oracle"] == {**honest["functor"], "s*.a.s*": 2}
     assert out["agree"] is False and "entries with checksum" in out["reason"]
+
+
+# sha256 of stdout for fixed commands, recorded when the records were
+# dataclasses: a record that reached the JSON as a list would change them
+GOLDEN = {
+    ("strings", "example:GP2", "--max-len", "4"):
+        "d9d870562bfcb7345d5bca1d93ef4afc9f85eb5ce169d95d962acc6bdda6c8ca",
+    ("bands", "example:DIEUDONNE", "--max-period", "4"):
+        "849ccd5ddcc14ce44042f57f5e513ad7b61e43c194d38a8c6b33b04f21c33b7e",
+    ("quadratic", "--p", "2", "--n", "2", "--sigma", "1", "--beta", "1", "--gamma", "1"):
+        "328dc3a878c92f484506881b898a8345d52a96fba731759df6cd6fe76c84b3e8",
+    ("build", "example:GP2", "--word", "x^-1.y"):
+        "474c828ff737c04067f827557138fca49a2e7dcb569ab619933063d3f017654a",
+    ("fdim", "{module}", "--word", "s*.a.s*"):
+        "d7c5f49416f24c34b2eb1f3be369fb0712ac23d91fad0bb464eafe256db077f4",
+    ("decompose", "{module}"):
+        "ce51844a986547a7a4c23928953bba14bdf3aeb56a361f29ca14b1bb369e57a9",
+    ("oracle-check", "{module}"):
+        "ff78c884140b2149eef9d97b0668f368e20aa53e3c7e60f3025a1595e499c215",
+}
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN.items(), ids=[a[0] for a in GOLDEN])
+def test_output_matches_its_golden_digest(tmp_path, capsys, monkeypatch, argv, digest):
+    import hashlib
+
+    from clannish import cli
+
+    monkeypatch.delenv("CLANNISH_SEED", raising=False)
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps(_e1_module()))
+    assert cli.main([a.format(module=module) for a in argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
