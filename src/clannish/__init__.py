@@ -2,7 +2,7 @@
 over finite fields."""
 
 from .fields import Aut, Field, FieldElement, make_field
-from .linalg import Matrix, SemilinearMap, Subspace
+from .linalg import Matrix, Subspace
 from .skewquad import SkewQuadratic, classify_quadratic
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "Field",
     "FieldElement",
     "Matrix",
-    "SemilinearMap",
     "SkewQuadratic",
     "Subspace",
     "classify_quadratic",

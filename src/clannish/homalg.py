@@ -1,17 +1,19 @@
 """Classification-independent ground truth: Hom spaces, endomorphism rings,
 indecomposability and isomorphism tests, and brute-force decomposition.
 
-Everything is exact linear algebra over the prime subfield.  A morphism is a
-tuple of K-matrices (one per vertex) intertwining raw arrow actions; the
-endomorphism ring is handled as a finite-dimensional F_p-algebra acting
-faithfully on the module, where its radical is computed with the
-characteristic-polynomial-coefficient chain for small characteristic.
+Everything is exact linear algebra over the prime subfield.  A morphism is
+one packed prime matrix per vertex (one int per row in the ``linalg``
+layout), intertwining the arrows' prime matrices; the endomorphism ring is
+handled as a finite-dimensional F_p-algebra acting faithfully on the module,
+where its radical is computed with the characteristic-polynomial-coefficient
+chain for small characteristic.
 
-End elements are F_p matrices kept as packed rows, one int per row in the
-``linalg`` layout, and multiplied with ``linalg.mat_mul``; they are unpacked
-only where ``charpoly`` or ``_split_by_idempotent`` reads entries.  The first
-level of the radical chain comes from the trace form, one Gram matrix, with
-no product or characteristic polynomial per pair.
+End elements are packed rows multiplied with ``linalg.mat_mul``; they are
+unpacked only where ``charpoly`` reads entries.  The first level of the
+radical chain comes from the trace form, one Gram matrix, with no product or
+characteristic polynomial per pair.  ``brute_decompose`` builds End(M) once
+per node and tries its basis elements as splitting candidates first, so the
+radical is computed only for a node that no basis element splits.
 """
 
 from __future__ import annotations
@@ -21,16 +23,15 @@ import random
 from typing import NamedTuple
 
 from .errors import InvalidInput, OracleFailure, PresentationMismatch, SpaceMismatch, TooLarge
-from .fields import Aut, _poly_divmod, _poly_gcd, _poly_mul, _poly_powmod, _poly_sub, _trim
+from .fields import FieldElement, _poly_divmod, _poly_gcd, _poly_mul, _poly_powmod, _poly_sub, _trim
 from .linalg import (
     Matrix,
+    Subspace,
     _rref_ints,
     _unpack,
     combine,
-    contract_vector,
     frob_matrix,
     join_rows,
-    k_rref,
     left_nullspace,
     mat_identity,
     mat_is_zero,
@@ -39,8 +40,8 @@ from .linalg import (
     pack_matrix,
     packed_nullspace,
     poly_eval_matrix,
-    prime_matrix,
     rref,
+    scalar_block_matrix,
     slot_bits,
     transpose,
     unpack_matrix,
@@ -83,48 +84,13 @@ def direct_sum(m1, m2):
     return Representation(pres, dims, mats)
 
 
-def sub_representation(rep, spaces):
-    """Restrict to per-vertex K-subspaces (given as K-row matrices)."""
-    pres = rep.pres
-    field = pres.field
-    dims = {v: spaces[v].nrows for v in pres.vertices}
-    mats = {}
-    for name in pres.arrow_names:
-        info = pres.arrows[name]
-        src, tgt = spaces[info.source], spaces[info.target]
-        sigma = pres.sigma(name)
-        rows = []
-        for r in src.rows:
-            img = rep.mats[name].apply_row(tuple(sigma(x) for x in r))
-            rows.append(_coords_in_basis(field, tgt, img))
-        mats[name] = Matrix(field, rows, dims[info.source], dims[info.target])
-    return Representation(pres, dims, mats)
-
-
-def _coords_in_basis(field, basis_matrix, vector):
-    """Solve x @ basis_matrix == vector over K (basis rows independent)."""
-    nn, cols = basis_matrix.nrows, basis_matrix.ncols
-    ident = Matrix.identity(field, nn).rows
-    pivots, rows = k_rref([r + e for r, e in zip(basis_matrix.rows, ident)], cols)
-    # each reduced row is (basis combination, its coefficients): subtract
-    # them from (vector, 0) until the vector part is zero
-    vec = list(vector) + [field.zero()] * nn
-    for c, row in zip(pivots, rows):
-        f = vec[c]
-        if f:
-            vec = [x - f * y for x, y in zip(vec, row)]
-    if any(vec[:cols]):
-        raise SpaceMismatch("vector outside the subspace")
-    return [-x for x in vec[cols:]]
-
-
 # -- Hom spaces ------------------------------------------------------------------
 
 
 class HomSpace(NamedTuple):
     source: Representation
     target: Representation
-    basis: list  # list of dict vertex -> Matrix
+    basis: list  # list of dict vertex -> packed prime matrix
 
     @property
     def dim(self):
@@ -132,15 +98,17 @@ class HomSpace(NamedTuple):
 
 
 def hom_space(m1, m2):
-    """All morphisms m1 -> m2: per-vertex K-matrices intertwining the arrows.
+    """All morphisms m1 -> m2: per-vertex K-linear maps intertwining the
+    arrows, each as its packed prime matrix.
 
     The intertwining condition M_a @ T_{h(a)} = sigma_a(T_{t(a)}) @ N_a is
     F_p-linear in the entries of the T's, so the solution space is an
-    F_p-space; its canonical reduced basis is returned as per-vertex
-    K-matrices.  Each unknown (a prime coordinate of one T entry) is one
-    packed row: its image M_a @ T_h - sigma_a(T_t) @ N_a in the equation
-    coordinates.  A loop puts both terms in one slot, so they go through
-    ``combine``.
+    F_p-space; its canonical reduced basis is returned.  Each unknown (a
+    prime coordinate of one T entry) is one packed row: its image
+    M_a @ T_h - sigma_a(T_t) @ N_a in the equation coordinates.  A loop puts
+    both terms in one slot, so they go through ``combine``.  For each i, a
+    solution holds row i * n of T_v's prime matrix, the K-entries of row i
+    of T_v; ``_k_linear`` fills in the other rows.
     """
     if m1.pres is not m2.pres:
         raise PresentationMismatch("modules live over different presentations")
@@ -167,10 +135,11 @@ def hom_space(m1, m2):
         for out_i, mrow in enumerate(m1.mats[name].rows):
             for i, coef in enumerate(mrow):
                 if coef:
+                    block = mult_matrix(field, coef)
                     for j in range(d2[h]):
                         u = unk[h] + (i * d2[h] + j) * n
                         shift = bits * (eq[name] + (out_i * d2[h] + j) * n)
-                        for c, row in enumerate(mult_matrix(field, coef)):
+                        for c, row in enumerate(block):
                             coeffs[u + c].append(1)
                             terms[u + c].append(row << shift)
         # -sigma_a(T_t) @ N_a: T_t[i][j] reaches equation (i, j') through N_a[j][j']
@@ -186,31 +155,27 @@ def hom_space(m1, m2):
                             coeffs[u + c].append(p - 1)
                             terms[u + c].append(row << shift)
     images = [combine(cs, ts, p) for cs, ts in zip(coeffs, terms)]
+    times_t = {v: scalar_block_matrix(field, field.gen(), d2[v]) for v in pres.vertices}
     basis = []
-    for sol in packed_nullspace(images, p, neq).rows:
+    for sol in packed_nullspace(images, p, neq).packed():
         per_vertex = {}
         for v in pres.vertices:
-            width = d2[v] * n
-            at = [unk[v] + i * width for i in range(d1[v])]
-            rows = [contract_vector(field, sol[a : a + width]) for a in at]
-            per_vertex[v] = Matrix(field, rows, d1[v], d2[v])
+            width = bits * d2[v] * n
+            mask = (1 << width) - 1
+            first = [(sol >> (bits * unk[v] + width * i)) & mask for i in range(d1[v])]
+            per_vertex[v] = _k_linear(first, times_t[v], n, p)
         basis.append(per_vertex)
     return HomSpace(m1, m2, basis)
 
 
-def compose_morphisms(first, then):
-    """Matrices of (then o first): v -> v @ T_first @ T_then, per vertex."""
-    return {v: first[v] @ then[v] for v in first}
-
-
-def _packed_morphism(m, field):
-    """Per-vertex packed prime-field matrices of a morphism."""
-    ident = Aut(field, 0)
-    return {v: prime_matrix(field, ident, mat) for v, mat in m.items()}
-
-
-def morphism_invertible(m):
-    return all(mat.is_invertible() for mat in m.values())
+def _k_linear(first, times_t, n, p):
+    """The packed prime matrix of a K-linear map from the K-entries of its
+    rows, packed: row i * n + a is t^a times row i, with t the generator of
+    K over F_p and ``times_t`` the prime matrix of multiplication by t."""
+    bands = [first]
+    for _ in range(n - 1):
+        bands.append(mat_mul(bands[-1], times_t, p))
+    return [row for rows in zip(*bands) for row in rows]
 
 
 # -- the endomorphism algebra as an F_p matrix algebra ---------------------------
@@ -234,11 +199,10 @@ class EndAlgebra:
     def _flatten(self, per_vertex):
         """A morphism as one block-diagonal packed matrix, vertex by vertex."""
         bits = slot_bits(self.p)
-        packed = _packed_morphism(per_vertex, self.rep.field)
         out = []
         for v in self.rep.pres.vertices:
             base = len(out)
-            out += [row << (bits * base) for row in packed[v]]
+            out += [row << (bits * base) for row in per_vertex[v]]
         return out
 
     def element(self, coeffs):
@@ -570,16 +534,19 @@ def is_indecomposable(rep):
     if rep.dim() == 0:
         return False
     alg = EndAlgebra(rep)
-    if alg.dim == 1:
-        return True
+    return alg.dim == 1 or _is_local(alg)
+
+
+def _is_local(alg):
+    """End(M) has no idempotents besides 0 and 1: by an exhaustive scan of a
+    small algebra, else End/rad is a field."""
     if (
         alg.dim <= EXHAUSTIVE_END_DIM
-        and rep.field.q <= EXHAUSTIVE_FIELD
+        and alg.rep.field.q <= EXHAUSTIVE_FIELD
         and alg.p ** alg.dim <= 1 << 16
     ):
         return _idempotent_exhaustive(alg) is None
-    rad = radical_basis(alg)
-    return _quotient_is_field(alg, rad)
+    return _quotient_is_field(alg, radical_basis(alg))
 
 
 def _splitting_idempotent_from(alg, coeffs, rng):
@@ -606,18 +573,25 @@ def _splitting_idempotent_from(alg, coeffs, rng):
     return e
 
 
-def _find_splitting_idempotent(rep, alg):
+def _find_splitting_idempotent(rep, alg, stop_if_local=False):
+    """A nontrivial idempotent of End(M), from the basis elements, then
+    their pairwise sums, then random elements and, for a small algebra, an
+    exhaustive scan; OracleFailure if none is found.  With ``stop_if_local``
+    the search returns None instead, once the basis elements have failed
+    and End(M) turns out to be local."""
     rng = random.Random(_seed())
-    candidates = []
     for i in range(alg.dim):
-        candidates.append([1 if j == i else 0 for j in range(alg.dim)])
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            candidates.append([1 if k in (i, j) else 0 for k in range(alg.dim)])
-    for cand in candidates:
-        e = _splitting_idempotent_from(alg, cand, rng)
+        e = _splitting_idempotent_from(alg, [1 if j == i else 0 for j in range(alg.dim)], rng)
         if e is not None:
             return e
+    if stop_if_local and _is_local(alg):
+        return None
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            cand = [1 if k in (i, j) else 0 for k in range(alg.dim)]
+            e = _splitting_idempotent_from(alg, cand, rng)
+            if e is not None:
+                return e
     for _ in range(2000):
         cand = [rng.randrange(alg.p) for _ in range(alg.dim)]
         if not any(cand):
@@ -634,41 +608,60 @@ def _find_splitting_idempotent(rep, alg):
 
 def _split_by_idempotent(rep, e):
     """The two summands cut out by an idempotent given as packed rows on
-    prime coordinates."""
-    field = rep.field
-    n = field.n
-    e_rows = unpack_matrix(e, field.p, len(e))
-    out = []
-    for use_complement in (False, True):
-        spaces = {}
-        base = 0
-        for v in rep.pres.vertices:
-            d = rep.dims[v]
-            # K-entry (i, j) is the image of 1 under the n x n prime block
-            # (i, j): that block's first row
-            rows = [
-                [field.el(e_rows[base + i * n][base + j * n : base + j * n + n]) for j in range(d)]
-                for i in range(d)
-            ]
-            mat = Matrix(field, rows, d, d)
-            if use_complement:
-                mat = Matrix.identity(field, d) - mat
-            spaces[v] = Matrix(field, k_rref(mat.rows)[1], ncols=d)
-            base += d * n
-        out.append(sub_representation(rep, spaces))
-    return out
+    prime coordinates: the images of e and of 1 - e."""
+    p = rep.field.p
+    complement = [combine((1, p - 1), pair, p) for pair in zip(mat_identity(len(e), p), e)]
+    return [_image_module(rep, e), _image_module(rep, complement)]
+
+
+def _image_module(rep, e):
+    """The submodule image(e) of an endomorphism e (packed rows on prime
+    coordinates, block diagonal by vertex) in its reduced echelon basis over
+    K.  Over F_p the image is a K-subspace, and the rows of its reduced
+    echelon basis whose pivot is the first prime coordinate of a K-column
+    are exactly its reduced echelon basis over K.  A vector of the image has
+    its coordinates in that basis at those K-columns, so the arrows'
+    matrices are read off the images of the basis vectors."""
+    pres, field = rep.pres, rep.field
+    p, n = field.p, field.n
+    bits = slot_bits(p)
+    spaces, bases, base = {}, {}, 0
+    for v in pres.vertices:
+        dn = rep.prime_dim(v)
+        mask = (1 << (bits * dn)) - 1
+        space = spaces[v] = Subspace.from_packed(
+            p, dn, [(row >> (bits * base)) & mask for row in e[base : base + dn]]
+        )
+        bases[v] = [(q // n, row) for q, row in zip(space.pivots, space.packed()) if q % n == 0]
+        base += dn
+    dims = {v: len(bases[v]) for v in pres.vertices}
+    mats = {}
+    for name in pres.arrow_names:
+        info = pres.arrows[name]
+        space = spaces[info.target]
+        images = mat_mul([row for _, row in bases[info.source]], rep.prime(name), p)
+        if not space._spans(images):
+            raise SpaceMismatch("an arrow maps the image of an idempotent outside it")
+        cols = [c for c, _ in bases[info.target]]
+        rows = []
+        for img in images:
+            coords = _unpack(img, p, space.ambient)
+            rows.append([FieldElement(field, coords[c * n : c * n + n]) for c in cols])
+        mats[name] = Matrix(field, rows, dims[info.source], dims[info.target])
+    return Representation(pres, dims, mats)
 
 
 def brute_decompose(rep, limit=BRUTE_LIMIT):
-    """Indecomposable summands by recursive idempotent splitting."""
+    """Indecomposable summands by recursive idempotent splitting, with one
+    End(M) per node."""
     if rep.prime_dim() > limit:
         raise TooLarge(f"module of prime dimension {rep.prime_dim()} exceeds {limit}")
     if rep.dim() == 0:
         return []
-    if is_indecomposable(rep):
-        return [rep]
     alg = EndAlgebra(rep)
-    e = _find_splitting_idempotent(rep, alg)
+    e = None if alg.dim == 1 else _find_splitting_idempotent(rep, alg, stop_if_local=True)
+    if e is None:
+        return [rep]
     part_a, part_b = _split_by_idempotent(rep, e)
     if part_a.dim() == 0 or part_b.dim() == 0:
         raise OracleFailure("idempotent failed to split the module")
@@ -682,12 +675,11 @@ def _indec_isomorphic(m1, m2):
         return False
     if m1.dim() == 0:
         return True
-    field = m1.field
-    h12 = [_packed_morphism(f, field) for f in hom_space(m1, m2).basis]
-    h21 = [_packed_morphism(g, field) for g in hom_space(m2, m1).basis]
-    for f in h12:
+    p = m1.field.p
+    h21 = hom_space(m2, m1).basis
+    for f in hom_space(m1, m2).basis:
         for g in h21:
-            if not all(_is_nilpotent(mat_mul(f[v], g[v], field.p), field.p) for v in f):
+            if not all(_is_nilpotent(mat_mul(f[v], g[v], p), p) for v in f):
                 return True
     return False
 
@@ -707,22 +699,19 @@ def are_isomorphic(m1, m2, tries=64):
         coeffs = [rng.randrange(p) for _ in range(h12.dim)]
         if not any(coeffs):
             continue
-        phi = _combine_morphisms(h12, coeffs, m1.field)
-        if morphism_invertible(phi):
+        phi = _combine_morphisms(h12, coeffs, p)
+        if all(len(_rref_ints(mat, p)) == len(mat) for mat in phi.values()):
             return True
     # above BRUTE_LIMIT brute_decompose raises TooLarge rather than guess
     return _match_summands(brute_decompose(m1), brute_decompose(m2))
 
 
-def _combine_morphisms(hs, coeffs, field):
-    out = {}
-    for v in hs.source.dims:
-        acc = Matrix.zeros(field, hs.source.dims[v], hs.target.dims[v])
-        for c, b in zip(coeffs, hs.basis):
-            if c % field.p:
-                acc = acc + b[v].scale(field.el(c))
-        out[v] = acc
-    return out
+def _combine_morphisms(hs, coeffs, p):
+    """sum(c * basis morphism), row by row of each vertex's prime matrix."""
+    return {
+        v: [combine(coeffs, rows, p) for rows in zip(*(b[v] for b in hs.basis))]
+        for v in hs.source.dims
+    }
 
 
 def _match_summands(parts1, parts2):

@@ -1,10 +1,11 @@
-"""Exact matrices over a finite field, semilinear maps, and prime-subfield
-subspace arithmetic.
+"""Exact matrices over a finite field and prime-subfield linear algebra.
 
 All maps use the row convention: a matrix M sends a row vector v to v @ M,
-and a semilinear map (sigma, M) sends v to sigma(v) @ M.  Subspace
-computations are done over the prime subfield, where semilinear maps become
-honest linear maps; K-dimensions are recovered after a K-stability check.
+and a semilinear map (sigma, M) sends v to sigma(v) @ M.  All elimination is
+done over the prime subfield, where semilinear maps become honest linear
+maps; K-dimensions are recovered after a K-stability check.  ``Matrix``, with
+entries in K, is the record that modules and parameters are read and written
+in; its inverse is computed on the prime matrix too.
 
 Prime-field rows have one packed layout for every p: a row of F_p^d is one
 int with coordinate j in slot j, ``slot_bits(p)`` bits wide (1 bit for p = 2;
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 
-from .errors import DimensionMismatch, FieldMismatch
-from .fields import Aut
+from .errors import DimensionMismatch
+from .fields import Aut, FieldElement
 
 
 class Matrix:
@@ -43,7 +44,9 @@ class Matrix:
         rows = tuple(tuple(field.el(x) for x in r) for r in rows)
         self.field = field
         self.rows = rows
-        self.nrows = len(rows) if nrows is None else nrows
+        self.nrows = len(rows)
+        if nrows is not None and nrows != len(rows):
+            raise DimensionMismatch(f"{len(rows)} rows given for a matrix with {nrows}")
         self.ncols = len(rows[0]) if (ncols is None and rows) else (ncols or 0)
         if any(len(r) != self.ncols for r in rows):
             raise DimensionMismatch("ragged rows")
@@ -126,19 +129,29 @@ class Matrix:
         return hash((self.nrows, self.ncols, self.rows))
 
     def inverse(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("inverse of non-square matrix")
-        nn = self.nrows
-        ident = Matrix.identity(self.field, nn).rows
-        pivots, rows = k_rref([r + e for r, e in zip(self.rows, ident)], nn)
-        if len(pivots) < nn:
+        """The inverse, read off the prime matrix of [self | I] in reduced
+        echelon form: the inverse of a K-linear map is K-linear."""
+        nn = self._square()
+        field, p = self.field, self.field.p
+        dn = nn * field.n
+        shift = slot_bits(p) * dn
+        ident = mat_identity(dn, p)
+        basis = _rref_ints([r | (e << shift) for r, e in zip(self._prime(), ident)], p)
+        if any(q >= dn for q in basis):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.field, [r[nn:] for r in rows], nn, nn)
+        return k_matrix(field, [basis[q] >> shift for q in range(dn)], nn, nn)
 
     def is_invertible(self):
+        nn = self._square()
+        return len(_rref_ints(self._prime(), self.field.p)) == nn * self.field.n
+
+    def _square(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        return len(k_rref(self.rows)[0]) == self.nrows
+        return self.nrows
+
+    def _prime(self):
+        return prime_matrix(self.field, Aut(self.field, 0), self)
 
     def apply_row(self, v):
         """Row vector times this matrix."""
@@ -153,66 +166,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix[" + "; ".join(" ".join(repr(a) for a in r) for r in self.rows) + "]"
-
-
-def k_rref(rows, width=None):
-    """Gauss-Jordan elimination over K: (pivot columns, reduced pivot rows).
-
-    ``rows`` are sequences of field elements.  Pivots are sought in the first
-    ``width`` columns only (all columns by default); rows left without a pivot
-    there are dropped.  With the default width the result is the canonical
-    reduced echelon basis of the row space.
-    """
-    rows = [list(r) for r in rows]
-    if width is None:
-        width = len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        top = rows[r] = [inv * x if x else x for x in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = [x - f * y if y else x for x, y in zip(row, top)]
-        pivots.append(c)
-    return pivots, rows[: len(pivots)]
-
-
-class SemilinearMap:
-    """A sigma-semilinear map acting on row vectors by v -> sigma(v) @ M."""
-
-    __slots__ = ("sigma", "matrix")
-
-    def __init__(self, sigma, matrix):
-        if sigma.field != matrix.field:
-            raise FieldMismatch("automorphism and matrix over different fields")
-        self.sigma = sigma
-        self.matrix = matrix
-
-    def apply(self, v):
-        v = tuple(self.matrix.field.el(x) for x in v)
-        return self.matrix.apply_row(tuple(self.sigma(x) for x in v))
-
-    def after(self, other):
-        """self composed after other: first other, then self."""
-        return SemilinearMap(self.sigma * other.sigma, self.sigma(other.matrix) @ self.matrix)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemilinearMap)
-            and self.sigma == other.sigma
-            and self.matrix == other.matrix
-        )
-
-    def __repr__(self):
-        return f"SemilinearMap({self.sigma!r}, {self.matrix!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +606,6 @@ def expand_vector(field, kvec):
     return out
 
 
-def contract_vector(field, pvec):
-    n = field.n
-    return tuple(field.el(pvec[i : i + n]) for i in range(0, len(pvec), n))
-
-
 def prime_matrix(field, sigma, kmatrix):
     """Packed F_p matrix (row convention) of the semilinear map
     v -> sigma(v) @ kmatrix.  Block (i, j) is Frobenius then multiplication
@@ -675,11 +623,25 @@ def prime_matrix(field, sigma, kmatrix):
     return out
 
 
-def scalar_block_matrix(field, lam, blocks):
-    """Packed block-diagonal F_p matrix acting as multiplication by lam on
-    K^blocks."""
+def k_matrix(field, a, nrows, ncols):
+    """The K-matrix of a K-linear map from its packed prime matrix: K-entry
+    (i, j) is the image of 1 under prime block (i, j), the first row of that
+    block."""
+    n, p = field.n, field.p
+    rows = []
+    for i in range(nrows):
+        coords = _unpack(a[i * n], p, ncols * n)
+        rows.append([FieldElement(field, coords[j * n : j * n + n]) for j in range(ncols)])
+    return Matrix(field, rows, nrows, ncols)
+
+
+def scalar_block_matrix(field, lam, blocks, k=0):
+    """Packed block-diagonal F_p matrix of v -> lam * sigma^k(v) on K^blocks,
+    with sigma the Frobenius map."""
     shift = slot_bits(field.p) * field.n
     rm = mult_matrix(field, lam)
+    if k % field.n:
+        rm = mat_mul(frob_matrix(field, k), rm, field.p)
     return [row << (shift * b) for b in range(blocks) for row in rm]
 
 

@@ -48,14 +48,20 @@ class SemilinearRelation(NamedTuple):
 
     @classmethod
     def graph(cls, field, sigma, kmatrix):
-        """The graph of the semilinear map v -> sigma(v) @ kmatrix.  Its rows
-        (e_i, row i of the map) are already the canonical reduced basis."""
+        """The graph of the semilinear map v -> sigma(v) @ kmatrix."""
         pm = prime_matrix(field, sigma, kmatrix)
-        sp, tp = kmatrix.nrows * field.n, kmatrix.ncols * field.n
+        return cls.from_prime(field, sigma, kmatrix.nrows, kmatrix.ncols, pm)
+
+    @classmethod
+    def from_prime(cls, field, sigma, src, tgt, pm):
+        """The graph of a sigma-semilinear map K^src -> K^tgt given by its
+        packed prime matrix.  Its rows (e_i, row i of the map) are already
+        the canonical reduced basis."""
+        sp, tp = src * field.n, tgt * field.n
         bits = slot_bits(field.p)
         rows = [(1 << (bits * i)) | (r << (bits * sp)) for i, r in enumerate(pm)]
         space = Subspace._reduced(field.p, sp + tp, range(sp), rows)
-        return cls(field, sigma, kmatrix.nrows, kmatrix.ncols, space)
+        return cls(field, sigma, src, tgt, space)
 
     @classmethod
     def identity(cls, field, d):
@@ -165,7 +171,9 @@ def arrow_relation(rep, name, inverse=False):
     key = (name, inverse)
     hit = cache.get(key)
     if hit is None:
-        rel = SemilinearRelation.graph(rep.field, rep.pres.sigma(name), rep.mats[name])
+        info = rep.pres.arrows[name]
+        sigma, src, tgt = rep.pres.sigma(name), rep.dims[info.source], rep.dims[info.target]
+        rel = SemilinearRelation.from_prime(rep.field, sigma, src, tgt, rep.prime(name))
         cache[(name, False)] = rel
         cache[(name, True)] = rel.inverse()
         hit = cache[key]

@@ -6,8 +6,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import DimensionMismatch
-from .fields import Aut
-from .linalg import Matrix, SemilinearMap
+from .linalg import Matrix, mat_identity, mat_is_zero, mat_mul, prime_matrix
 
 
 class Representation:
@@ -15,7 +14,8 @@ class Representation:
 
     The arrow a acts e_{t(a)}M -> e_{h(a)}M by v -> sigma_a(v) @ mats[a]; the
     optional labels record, for module constructions, which (generator index,
-    parameter coordinate) each basis vector came from.
+    parameter coordinate) each basis vector came from.  ``prime(a)`` is the
+    packed F_p matrix of that action, built once per arrow.
     """
 
     def __init__(self, pres, dims, mats, labels=None):
@@ -34,6 +34,7 @@ class Representation:
         self.dims = MappingProxyType(dims)
         self.mats = MappingProxyType(checked)
         self.labels = labels
+        self._prime_cache = {}  # arrow -> packed prime matrix
         self._relation_cache = {}  # relations.arrow_relation
         self._filtration_cache = {}  # filtration: D^+, D^- and period composites by walk suffix
 
@@ -49,28 +50,31 @@ class Representation:
             return self.dim() * self.field.n
         return self.dims[vertex] * self.field.n
 
-    def semilinear(self, arrow):
-        return SemilinearMap(self.pres.sigma(arrow), self.mats[arrow])
+    def prime(self, arrow):
+        """The packed F_p matrix of v -> sigma_a(v) @ mats[a]."""
+        hit = self._prime_cache.get(arrow)
+        if hit is None:
+            hit = self._prime_cache[arrow] = prime_matrix(
+                self.field, self.pres.sigma(arrow), self.mats[arrow]
+            )
+        return hit
 
-    def path_action(self, names, vertex=None):
-        """(sigma_p, matrix) of a path acting by v -> sigma_p(v) @ matrix."""
-        source, target = self.pres.path_endpoints(names, vertex)
-        acc = SemilinearMap(
-            Aut(self.field, 0), Matrix.identity(self.field, self.dims[source])
-        )
+    def path_prime(self, names, vertex=None):
+        """The packed F_p matrix of a path: its last arrow acts first."""
+        source, _ = self.pres.path_endpoints(names, vertex)
+        p = self.field.p
+        acc = mat_identity(self.prime_dim(source), p)
         for name in reversed(names):
-            acc = self.semilinear(name).after(acc)
+            acc = mat_mul(acc, self.prime(name), p)
         return acc
 
     def check_relations(self):
-        """All defining relations hold: special quadratics and zero relations."""
+        """All defining relations hold, on the arrows' prime matrices:
+        special quadratics and zero relations."""
         for s, q in self.pres.special.items():
-            if not q.is_root_matrix(self.mats[s]):
+            if not q.is_root_prime(self.prime(s), self.dims[self.pres.arrows[s].source]):
                 return False
-        for r in self.pres.zero_relations:
-            if not self.path_action(r).matrix.is_zero():
-                return False
-        return True
+        return all(mat_is_zero(self.path_prime(r)) for r in self.pres.zero_relations)
 
     def __eq__(self, other):
         return (

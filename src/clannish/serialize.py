@@ -194,9 +194,9 @@ def matrix_to_json(mat):
     return [[element_to_json(x) for x in row] for row in mat.rows]
 
 
-def matrix_from_json(field, data, nrows=None, ncols=None):
+def matrix_from_json(field, data):
     rows = [[element_from_json(field, x) for x in row] for row in _items(data, list, "a matrix")]
-    return Matrix(field, rows, nrows if rows == [] else None, ncols if rows == [] else None)
+    return Matrix(field, rows)
 
 
 def representation_to_json(rep, include_presentation=True):
@@ -234,6 +234,8 @@ def representation_from_json(data, pres=None):
     for v, d in dims.items():
         _check_names(pres, (), v)
         _check_kind(d, int, "every value of key 'dims'")
+        if d < 0:
+            raise InvalidInput(f"vertex {v!r} has dimension {d}")
     mats = {}
     for name, spec in _key(data, "arrows", dict, {}).items():
         info = pres.arrows.get(name)
@@ -246,7 +248,13 @@ def representation_from_json(data, pres=None):
             )
         matrix = _items(_key(spec, "matrix", list), list, f"arrow {name!r} key 'matrix'")
         rows = [[element_from_json(field, x) for x in row] for row in matrix]
-        mats[name] = Matrix(field, rows, dims.get(info.source, 0), dims.get(info.target, 0))
+        shape = (dims.get(info.source, 0), dims.get(info.target, 0))
+        if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+            raise InvalidInput(
+                f"arrow {name!r} goes from dimension {shape[0]} to {shape[1]}, so its matrix"
+                f" must be {shape[0]} x {shape[1]}"
+            )
+        mats[name] = Matrix(field, rows, *shape)
     labels = _key(data, "labels", dict, None)
     if labels is not None:
         labels = {

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionViolated, SingularQuadratic
 from .fields import Aut, Field
-from .linalg import Matrix
+from .linalg import Matrix, mat_add, mat_mul, scalar_block_matrix
 
 IRREDUCIBLE = 1
 MATRIX_RING = 2
@@ -50,6 +50,17 @@ class SkewQuadratic(_QuadraticFields):
 
     def is_root_matrix(self, m):
         return self.matrix_residue(m).is_zero()
+
+    def is_root_prime(self, x, d):
+        """``is_root_matrix(M)`` for M on K^d given by the packed prime matrix
+        x of X: v -> sigma(v) @ M.  For every v, X(X(v)) - X(sigma^-1(beta)
+        sigma(v)) + gamma sigma^2(v) = sigma^2(v) @ residue(M), so M is a
+        root exactly when X o X + gamma sigma^2 = X o (sigma^-1(beta) sigma)
+        as F_p-linear maps."""
+        f, k, p = self.field, self.sigma.k, self.field.p
+        lhs = mat_add(mat_mul(x, x, p), scalar_block_matrix(f, self.gamma, d, 2 * k), p)
+        beta = self.sigma.inverse()(self.beta)
+        return lhs == mat_mul(scalar_block_matrix(f, beta, d, k), x, p)
 
     def __repr__(self):
         return f"x^2 - ({self.beta!r})x + ({self.gamma!r}) in K[x;{self.sigma!r}]"

@@ -215,6 +215,21 @@ BAD_INPUTS = {
         "InvalidInput",
     ),
     "dims missing": (["decompose", "{module}"], lambda m: m.pop("dims"), "InvalidInput 'dims'"),
+    "negative dims": (
+        ["decompose", "{module}"],
+        lambda m: m["dims"].update({"1": -1}),
+        "InvalidInput '1'",
+    ),
+    "matrix row missing": (
+        ["oracle-check", "{module}"],
+        lambda m: m["arrows"]["a"]["matrix"].pop(),
+        "InvalidInput 'a'",
+    ),
+    "matrix column missing": (
+        ["decompose", "{module}"],
+        lambda m: [row.pop() for row in m["arrows"]["s"]["matrix"]],
+        "InvalidInput 's'",
+    ),
     "arrows a list": (
         ["decompose", "{module}"],
         lambda m: m.update(arrows=list(m["arrows"].values())),

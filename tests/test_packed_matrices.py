@@ -22,6 +22,7 @@ from clannish.linalg import (
     expand_vector,
     frob_matrix,
     is_k_stable,
+    k_matrix,
     left_nullspace,
     mult_matrix,
     pack_matrix,
@@ -356,4 +357,8 @@ def _hom_pair(draw):
 @given(_hom_pair())
 def test_hom_space_matches_the_dense_equations(pair):
     m1, m2 = pair
-    assert hom_space(m1, m2).basis == _reference_hom_space(m1, m2)
+    got = [
+        {v: k_matrix(m1.field, b[v], m1.dims[v], m2.dims[v]) for v in b}
+        for b in hom_space(m1, m2).basis
+    ]
+    assert got == _reference_hom_space(m1, m2)

