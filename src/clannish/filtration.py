@@ -11,7 +11,7 @@ from .presentation import Letter
 from . import relations as rel_mod
 from .relations import walk_letter_relation
 from . import walks as walks_mod
-from .walks import rw_descriptor, walk_letter_tail, walk_shape, walk_star
+from .walks import WalkLetter, rw_descriptor, walk_letter_tail, walk_shape, walk_star
 from . import words as words_mod
 
 
@@ -243,7 +243,7 @@ def candidate_descriptors(pres, dim, max_len=None, max_period=None):
     return descs
 
 
-def multiplicities(rep, max_len=None, max_period=None, descriptors=None):
+def multiplicities(rep, max_len=None, max_period=None):
     """Nonzero subquotient dimensions over all candidate strings and bands.
 
     checksum = sum of |J_w| * f_dim; ``complete`` records whether it reaches
@@ -252,19 +252,21 @@ def multiplicities(rep, max_len=None, max_period=None, descriptors=None):
 
     f_dim(w) is 0 when either half-walk of w at min J_w has D^+ = D^-, so
     only candidates whose two halves keep an open gap (``_open_pair``) get a
-    full ``rw_descriptor`` and ``f_dim``; every other candidate costs its
-    shape, its fit to the module and the admissibility of its two halves.
+    full ``rw_descriptor`` and ``f_dim``.  Each candidate is first screened
+    on the memo places its word alone fixes (``_screen``); only the ones it
+    passes get their shape, their fit to the module and the gap test of
+    their two halves.
     """
     pres, dim = rep.pres, rep.dim()
-    if descriptors is None:
-        descriptors = candidate_descriptors(pres, dim, max_len, max_period)
     entries = []
-    for desc in descriptors:
-        key = (words_mod.word_key(pres, desc.word), desc.word.shape)
-        shape = _memo(pres._shapes, key, walk_shape, pres, desc)
+    for desc in candidate_descriptors(pres, dim, max_len, max_period):
+        word = desc.word
+        if not _screen(rep, word):
+            continue
+        shape = _memo(pres._shapes, word, walk_shape, pres, desc)
         if len(shape.Jw) > dim or not _vertex_counts_fit(rep, shape):
             continue
-        halves = _memo(pres._halves, key, _half_ends, pres, shape, min(shape.Jw))
+        halves = _memo(pres._halves, word, _half_ends, pres, shape, min(shape.Jw))
         if all(_open_pair(rep, letters, end) is not None for letters, end in halves):
             report = f_dim(rep, rw_descriptor(pres, desc))
             if report.f_dim:
@@ -278,6 +280,43 @@ def _memo(cache, key, make, *args):
     if hit is None:
         hit = cache[key] = make(*args)
     return hit
+
+
+def _screen(rep, word):
+    """False when the word alone shows that a half of the candidate at
+    min J_w = 0 is closed, so that its f_dim is 0; True otherwise.
+
+    Only star letters are oriented by the canonical walk: a direct letter
+    is direct in it and an inverse letter inverse.  A string's halves at 0
+    are its walk letters on the root of its right end, whose suffix after
+    the last star letter the word fixes, and the bare root ("finite", v_0,
+    -eps); a closed suffix closes every walk that ends in it.  A band with
+    no star letter is its own canonical walk, and its halves at 0 are its
+    block and its inverted block as periodic tails.  The sweep builds the
+    canonical walk only for the words that pass.
+    """
+    pres = rep.pres
+    if word.shape == "finite":
+        letters = word.letters
+        stars = [j for j, l in enumerate(letters) if l.kind == "s"] if pres.special else ()
+        if stars:
+            letters = letters[stars[-1] + 1 :]
+        right = _finite_end(pres, *words_mod.right_end(pres, word))
+        left = _finite_end(pres, word.v0, -word.eps)
+        return (
+            _open_pair(rep, (), left) is not None
+            and _open_pair(rep, _walk_letters(letters), right) is not None
+        )
+    if pres.special and any(l.kind == "s" for l in word.period):
+        return True
+    walk = _walk_letters(word.period)
+    inverted = tuple(l.inverse() for l in reversed(walk))
+    return all(_open_pair(rep, (), ("right", tail)) is not None for tail in (walk, inverted))
+
+
+def _walk_letters(letters):
+    """The walk letters of word letters that hold no star letter."""
+    return tuple(WalkLetter(l.name, l.kind == "d") for l in letters)
 
 
 def _half_ends(pres, shape, i):

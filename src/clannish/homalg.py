@@ -524,7 +524,8 @@ def _idempotent_exhaustive(alg):
         if not any(coeffs) or coeffs == id_coords:
             continue
         e = alg.element(coeffs)
-        if mat_mul(e, e, p) == e:
+        # e*e row by row, up to the first row that differs from e's
+        if all(mat_mul([row], e, p)[0] == row for row in e):
             return coeffs
     return None
 

@@ -436,26 +436,35 @@ def make_rw_module(spec, dim=None, lam=None, phi=None):
     return RwModule(spec, lam.nrows, lam=lam, phi=phi)
 
 
-def _gen_action(module, gen, v):
-    """Left action of a ring generator on a row vector of the module."""
+def _generator_actions(module):
+    """gen -> the left action of that ring generator on a row vector of the
+    module.  The parameter matrices are fixed for the module, so an inverse
+    generator inverts its matrix on first use and keeps the inverse."""
     spec = module.spec
-    if spec.kind == SYM_STRING:
-        pairs = {"x": (spec.tau, module.lam)}
-    elif spec.kind == ASYM_BAND:
-        pairs = {"x": (spec.tau, module.lam)}
-    else:
+    if spec.kind == SYM_BAND:
         pairs = {"x": (spec.rho, module.phi), "y": (spec.tau, module.lam)}
-    if gen.endswith("-1"):
-        aut, mat = pairs[gen[:-2]]
-        return aut.inverse()(mat.inverse().apply_row(list(v)))
-    aut, mat = pairs[gen]
-    return mat.apply_row(list(aut(tuple(v))))
+    else:
+        pairs = {"x": (spec.tau, module.lam)}
+    inverses = {}
+
+    def act(gen, v):
+        if gen.endswith("-1"):
+            if gen not in inverses:
+                aut, mat = pairs[gen[:-2]]
+                inverses[gen] = (aut.inverse(), mat.inverse())
+            aut, mat = inverses[gen]
+            return aut(mat.apply_row(list(v)))
+        aut, mat = pairs[gen]
+        return mat.apply_row(list(aut(tuple(v))))
+
+    return act
 
 
-def monomial_action(module, monomial, v):
-    """Apply a monomial (tuple of generators, leftmost applied last)."""
+def monomial_action(act, monomial, v):
+    """Apply a monomial (tuple of generators, leftmost applied last) through
+    the actions ``act`` of ``_generator_actions``."""
     for gen in reversed(monomial):
-        v = _gen_action(module, gen, v)
+        v = act(gen, v)
     return tuple(v)
 
 
@@ -498,6 +507,7 @@ def build_module(pres, desc_or_spec, module=None, dim=1, lam=None, phi=None):
         module = make_rw_module(spec, dim=dim, lam=lam, phi=phi)
     field = pres.field
     m = module.dim
+    act = _generator_actions(module)
     J = sorted(spec.Jw)
     word = spec.word
     basis = {v: [] for v in pres.vertices}
@@ -525,7 +535,7 @@ def build_module(pres, desc_or_spec, module=None, dim=1, lam=None, phi=None):
                     e[c] = field.one()
                     if ch is not None:
                         e = [ch * x for x in e]
-                    vec = monomial_action(module, z, e) if z else tuple(e)
+                    vec = monomial_action(act, z, e) if z else tuple(e)
                     vec = spec.pi[j](tuple(vec))
                     row = rows[index[info.source][(i, c)]]
                     for d, val in enumerate(vec):

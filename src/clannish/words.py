@@ -238,6 +238,7 @@ class _WordTables(NamedTuple):
     patterns: frozenset  # zero relations as letter tuples, both directions
     longest: int  # length of the longest zero relation, 0 when there is none
     rank: dict  # letter -> its place in Letter.key order
+    inverse_rank: dict  # letter -> the rank of its inverse
     successors: dict  # letter -> the letters that may follow it
 
 
@@ -253,10 +254,12 @@ def _word_tables(pres):
             pats.add(fwd)
             pats.add(tuple(l.inverse() for l in reversed(fwd)))
         letters = sorted(pres.letters(), key=Letter.key)
+        rank = {l: r for r, l in enumerate(letters)}
         pres._word_tables = _WordTables(
             frozenset(pats),
             max(map(len, pats), default=0),
-            {l: r for r, l in enumerate(letters)},
+            rank,
+            {l: rank[l.inverse()] for l in letters},
             {l: tuple(_extensions(pres, l)) for l in letters},
         )
     return pres._word_tables
@@ -451,16 +454,14 @@ def enumerate_strings(pres, max_len):
     if max_len < 0:
         return []
     tables = _word_tables(pres)
-    rank = tables.rank
+    rank, inverse_rank = tables.rank, tables.inverse_rank
     found = []
 
-    def emit(seq):
+    def emit(seq, codes, inverse_codes):
         # every letter sequence is generated once, and so is its inverse:
         # keep the word when it sorts no later than its inverse.  The first
         # letter fixes v0 and eps, so word_key order on words of one length
         # is the order of their letter ranks.
-        codes = tuple(rank[l] for l in seq)
-        inverse_codes = tuple(rank[l.inverse()] for l in reversed(seq))
         if codes <= inverse_codes:
             word = Word("finite", pres.head(seq[0]), pres.sign(seq[0]), seq)
             found.append(((len(seq), codes), StringDescriptor(word, codes == inverse_codes)))
@@ -487,21 +488,28 @@ def enumerate_strings(pres, max_len):
                 return False
         return True
 
-    # depth first on an explicit stack, so no bound meets the recursion limit
+    # depth first on an explicit stack, so no bound meets the recursion
+    # limit; each entry carries the letter ranks of its sequence and of the
+    # inverse sequence, which grows at the front
     stack = []
     if max_len >= 1:
         for v0 in sorted(pres.vertices):
             for eps in (1, -1):
-                stack += [(letter,) for letter in _first_letters(pres, v0, eps)]
+                stack += [
+                    ((letter,), (rank[letter],), (inverse_rank[letter],))
+                    for letter in _first_letters(pres, v0, eps)
+                ]
     while stack:
-        seq = stack.pop()
+        seq, codes, inverse_codes = stack.pop()
         if end_ok(seq):
-            emit(seq)
+            emit(seq, codes, inverse_codes)
         if len(seq) < max_len:
             for letter in tables.successors[seq[-1]]:
                 grown = seq + (letter,)
                 if interior_ok(grown) and not _hits_pattern(grown, tables, len(grown)):
-                    stack.append(grown)
+                    stack.append(
+                        (grown, codes + (rank[letter],), (inverse_rank[letter],) + inverse_codes)
+                    )
 
     return [d for _, d in sorted(found, key=lambda kd: kd[0])]
 

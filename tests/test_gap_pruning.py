@@ -5,7 +5,9 @@ Write gap(U, W) = dim U - dim W for W <= U.  f_dim(w) is 0 as soon as one
 half-walk of w has D^+ = D^-, a letter never widens the gap, and a periodic
 tail's stable pair lies between R(0) and R(full) of its period.  The
 reference sweep below runs ``f_dim`` on every candidate that fits the
-module, as ``multiplicities`` did before it skipped the closed ones.
+module, as ``multiplicities`` did before it skipped the closed ones, and
+builds the shape of every candidate, as it did before it screened each one
+on the memo places that the word alone fixes.
 """
 
 import random
@@ -150,6 +152,96 @@ def test_a_root_with_d_minus_outside_d_plus_raises(E1, monkeypatch):
         filtration._open_pair(rep, (), ("finite", "1", 1))
     with pytest.raises(SpaceMismatch):
         filtration.multiplicities(Representation(rep.pres, rep.dims, rep.mats))
+
+
+# -- the screen on the word ----------------------------------------------------
+
+
+_SHAPES = {}
+
+
+def _shape(name, desc):
+    key = (name, desc.word)
+    if key not in _SHAPES:
+        _SHAPES[key] = walk_shape(_pres(name), desc)
+    return _SHAPES[key]
+
+
+@given(st.sampled_from(sorted(PRESENTATIONS)), st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_the_screen_never_rejects_a_candidate_with_two_open_halves(name, seed, kdim):
+    pres = _pres(name)
+    rep = _conjugated_sum(pres, random.Random(seed), kdim)
+    ref = Representation(pres, rep.dims, rep.mats)
+    for desc in candidate_descriptors(pres, kdim):
+        both_open = all(_open_halves(ref, _shape(name, desc)))
+        passed = filtration._screen(rep, desc.word)
+        assert passed or not both_open, desc.word
+        letters = desc.word.letters + desc.word.period
+        if not any(l.is_star for l in letters):
+            # a word with no star letter is screened on its two halves
+            assert passed == both_open, desc.word
+
+
+def test_the_screen_reads_suffixes_of_the_halves_alone(monkeypatch):
+    # every memo place the screen tests is a suffix of a half at min J_w that
+    # the canonical walk gives, so it reads what the full gap test would read
+    open_pair, reads, depth = filtration._open_pair, [], [0]
+
+    def recording(rep, letters, end):
+        if not depth[0]:
+            reads.append((letters, end))
+        depth[0] += 1
+        try:
+            return open_pair(rep, letters, end)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(filtration, "_open_pair", recording)
+    past_the_left_root = 0
+    for name in sorted(PRESENTATIONS):
+        pres = _pres(name)
+        rep = _conjugated_sum(pres, random.Random(f"screen-reads/{name}"), 6)
+        for desc in candidate_descriptors(pres, 6):
+            reads.clear()
+            filtration._screen(rep, desc.word)
+            shape = _shape(name, desc)
+            halves = filtration._half_ends(pres, shape, min(shape.Jw))
+            for letters, end in reads:
+                assert any(
+                    end == half_end and half[len(half) - len(letters) :] == letters
+                    for half, half_end in halves
+                ), (desc.word, letters, end)
+            past_the_left_root += any(l.is_star for l in desc.word.letters) and len(reads) == 2
+    # strings with a star letter whose right half was read too (on A4)
+    assert past_the_left_root
+
+
+@pytest.mark.parametrize("name", ["GP2", "DIEUDONNE"])
+def test_only_candidates_that_pass_the_screen_get_a_shape(name, monkeypatch):
+    # a fresh presentation, so that no shape is memoised yet; it has no
+    # special loop, so the screen decides each candidate on its two halves
+    make, args = PRESENTATIONS[name]
+    pres = make(*args)
+    rep = _conjugated_sum(pres, random.Random(f"screen/{name}"), 8)
+    passed, shaped = [], []
+    screen, shape = filtration._screen, filtration.walk_shape
+
+    def recording_screen(rep, word):
+        if screen(rep, word):
+            passed.append(word)
+            return True
+        return False
+
+    def recording_shape(pres, desc):
+        shaped.append(desc.word)
+        return shape(pres, desc)
+
+    monkeypatch.setattr(filtration, "_screen", recording_screen)
+    monkeypatch.setattr(filtration, "walk_shape", recording_shape)
+    got = filtration.multiplicities(rep)
+    assert got == reference_multiplicities(Representation(pres, rep.dims, rep.mats))[0]
+    assert shaped == passed
+    assert len(got.entries) <= len(shaped) < len(candidate_descriptors(pres, 8)) // 10
 
 
 # -- the half-walk memo places -------------------------------------------------

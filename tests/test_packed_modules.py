@@ -19,7 +19,7 @@ import k_reference
 from clannish import homalg
 from clannish.fields import Aut, make_field
 from clannish.homalg import EndAlgebra, _find_splitting_idempotent, _split_by_idempotent, hom_space
-from clannish.linalg import Matrix, k_matrix, prime_matrix
+from clannish.linalg import Matrix, k_matrix, mat_identity, mat_mul, prime_matrix
 from clannish.reps import Representation
 from clannish.skewquad import SkewQuadratic
 from test_suffix_memo import PRESENTATIONS, _conjugated_sum
@@ -248,3 +248,40 @@ def test_one_end_algebra_per_node_and_no_radical_where_a_basis_element_splits(GP
     assert calls["hom_space"] == calls["brute_decompose"] > 1
     # the radical runs only on nodes that turn out indecomposable
     assert all(any(node is leaf for leaf in leaves) for node in radical_nodes)
+
+
+# -- the exhaustive idempotent scan ------------------------------------------------
+
+
+def _full_product_scan(alg):
+    """The scan that multiplies every candidate e out in full before comparing
+    e*e with e."""
+    p = alg.p
+    id_coords = alg.coords(mat_identity(alg.amb, p))
+    for code in range(p**alg.dim):
+        coeffs = [(code // p**i) % p for i in range(alg.dim)]
+        if not any(coeffs) or coeffs == id_coords:
+            continue
+        e = alg.element(coeffs)
+        if mat_mul(e, e, p) == e:
+            return coeffs
+    return None
+
+
+def test_the_row_by_row_idempotent_scan_matches_the_full_product_scan(GP2):
+    # the parts of the planted GP2 sum below are local (End of dimension 2,
+    # 6 and 10), so both scans run to the end; two of them summed have a
+    # splitting idempotent, and so do small conjugated sums
+    rep = _conjugated_sum(GP2, random.Random("one-end/GP2"), 12)
+    parts = homalg.brute_decompose(rep)
+    modules = parts + [homalg.direct_sum(parts[0], parts[1])]
+    modules += [_conjugated_sum(GP2, random.Random(f"idempotent/{k}"), 3) for k in range(6)]
+    found = 0
+    for module in modules:
+        alg = EndAlgebra(module)
+        if alg.dim > 12:
+            continue
+        want = _full_product_scan(alg)
+        assert homalg._idempotent_exhaustive(alg) == want
+        found += want is not None
+    assert 0 < found < len(modules)

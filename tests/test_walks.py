@@ -273,6 +273,26 @@ def test_rw_descriptor_rejects_bad_words(E1, GP2):
         rw_descriptor(E1, doubled)  # block is a proper power
 
 
+def test_a_band_module_inverts_its_parameter_matrix_once(GP2, E1, monkeypatch):
+    # an inverse generator acts once per basis coordinate at each seam index,
+    # so twice or more on a 2x2 parameter; its matrix is fixed for the module
+    # and inverted once
+    from clannish.examples import module_catalog
+
+    inverse, calls = Matrix.inverse, []
+    monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+    twice_or_more = 0
+    for pres in (GP2, E1):
+        for desc, module, rep in module_catalog(pres, 0, 4):
+            if desc.word.shape != "zper":
+                continue
+            calls.clear()
+            assert build_module(pres, module.spec, module) == rep
+            assert len(calls) <= 1 and all(m is module.lam for m in calls)
+            twice_or_more += bool(calls) and module.dim > 1
+    assert twice_or_more
+
+
 def test_band_parameters_helper(GP2, E1):
     bd = rw_descriptor(GP2, BandDescriptor(periodic_word(GP2, [Letter("d", "x"), Letter("i", "y")]), False))
     assert bd.tau.is_identity
