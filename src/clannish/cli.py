@@ -182,18 +182,34 @@ def _load_param(path):
     return param
 
 
+def _param_matrices(pres, spec, param, path):
+    """(lambda, phi) of the --param file, None where it gives none; a matrix
+    that the word's parameter ring does not take, or a "dim" other than a
+    matrix's size, raises InvalidInput."""
+    # every ring but K = the asymmetric strings' takes lambda; only the
+    # symmetric bands' also takes phi
+    takes = {"lambda": spec.kind != walks.ASYM_STRING, "phi": spec.kind == walks.SYM_BAND}
+    mats = {}
+    for key in ("lambda", "phi"):
+        if key not in param:
+            continue
+        if not takes[key]:
+            raise InvalidInput(f"{path}: {key!r} is no parameter of a {spec.kind} word")
+        mat = mats[key] = serialize.matrix_from_json(pres.field, param[key])
+        if param.get("dim", mat.nrows) != mat.nrows:
+            raise InvalidInput(
+                f"{path}: \"dim\" is {param['dim']}, but {key!r} has {mat.nrows} rows"
+            )
+    return mats.get("lambda"), mats.get("phi")
+
+
 def cmd_build(args):
     pres = load_presentation(args.presentation)
     word = serialize.parse_word_argument(pres, args.word)
     desc = words.descriptor_of(pres, word)
     spec = walks.rw_descriptor(pres, desc)
     param = _load_param(args.param)
-    field = pres.field
-    lam = phi = None
-    if "lambda" in param:
-        lam = serialize.matrix_from_json(field, param["lambda"])
-    if "phi" in param:
-        phi = serialize.matrix_from_json(field, param["phi"])
+    lam, phi = _param_matrices(pres, spec, param, args.param)
     module = walks.make_rw_module(spec, dim=param.get("dim", 1), lam=lam, phi=phi)
     rep = walks.build_module(pres, spec, module)
     payload = serialize.representation_to_json(rep)
@@ -232,7 +248,7 @@ def cmd_fdim(args):
 
 def cmd_decompose(args):
     rep = load_module(args.module, args.presentation)
-    report = filtration.multiplicities(rep, args.max_len, args.max_period)
+    report = filtration.multiplicities(rep)
     emit(args, report.as_dict())
     return 0
 
@@ -243,7 +259,7 @@ def cmd_oracle_check(args):
 
     seed = homalg._seed()
     rep = load_module(args.module, args.presentation)
-    report = filtration.multiplicities(rep, args.max_len, args.max_period)
+    report = filtration.multiplicities(rep)
     parts = homalg.brute_decompose(rep)
     agg, broken = {}, []
     for k, part in enumerate(parts):
@@ -343,15 +359,11 @@ def build_parser():
     sp = sub.add_parser("decompose", help="multiplicity report with checksum")
     sp.add_argument("module")
     sp.add_argument("--presentation", default=None)
-    sp.add_argument("--max-len", type=positive_int, default=None)
-    sp.add_argument("--max-period", type=positive_int, default=None)
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("oracle-check", help="brute-force decomposition vs report")
     sp.add_argument("module")
     sp.add_argument("--presentation", default=None)
-    sp.add_argument("--max-len", type=positive_int, default=None)
-    sp.add_argument("--max-period", type=positive_int, default=None)
     sp.set_defaults(fn=cmd_oracle_check)
 
     return ap

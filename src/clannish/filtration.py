@@ -203,52 +203,48 @@ class DecompositionReport(NamedTuple):
         }
 
 
-def candidate_descriptors(pres, dim, max_len=None, max_period=None):
+def candidate_descriptors(pres, dim):
     """All strings/bands that could contribute to a module of K-dimension dim.
 
     A contributing descriptor w has |J_w| <= dim, so asymmetric strings have
     length <= dim - 1, symmetric strings length <= 2 dim - 1, asymmetric
     bands period <= dim and symmetric bands period <= 2 dim.  Symmetric
-    shapes only exist in the presence of special loops.  At the default
-    bounds, a list already made for a larger dim is filtered, not enumerated
-    again: both are sorted by ``word_key``, so the filter keeps the order.
+    shapes only exist in the presence of special loops.  A list already made
+    for a larger dim is filtered, not enumerated again: both are sorted by
+    ``word_key``, so the filter keeps the order.
     """
-    key = (dim, max_len, max_period)
-    hit = pres._descriptors.get(key)
+    hit = pres._descriptors.get(dim)
     if hit is not None:
         return hit
-    asym_len = dim - 1 if max_len is None else max_len
-    band_per = dim if max_period is None else max_period
-    sym_len = 2 * dim - 1 if max_len is None and pres.special else asym_len
-    sym_per = 2 * dim if max_period is None and pres.special else band_per
+    sym_bound = 2 * dim if pres.special else dim
 
     def fits(d):
+        bound = sym_bound if d.symmetric else dim
         if d.word.shape == "finite":
-            return len(d.word.letters) <= (sym_len if d.symmetric else asym_len)
-        return len(d.word.period) <= (sym_per if d.symmetric else band_per)
+            return len(d.word.letters) < bound
+        return len(d.word.period) <= bound
 
-    larger = ()
-    if max_len is None and max_period is None:
-        larger = [k[0] for k in pres._descriptors if k[0] > dim and k[1:] == (None, None)]
+    larger = [k for k in pres._descriptors if k > dim]
     if larger:
-        descs = [d for d in pres._descriptors[(min(larger), None, None)] if fits(d)]
+        descs = [d for d in pres._descriptors[min(larger)] if fits(d)]
     else:
         # one enumeration each, at the symmetric bound: both lists are sorted
         # by length first, so the asymmetric words keep their place ahead of
         # the longer symmetric ones
-        strings = words_mod.enumerate_strings(pres, sym_len)
-        bands = words_mod.enumerate_bands(pres, sym_per)
+        strings = words_mod.enumerate_strings(pres, sym_bound - 1)
+        bands = words_mod.enumerate_bands(pres, sym_bound)
         descs = [d for d in strings + bands if fits(d)]
-    pres._descriptors[key] = descs
+    pres._descriptors[dim] = descs
     return descs
 
 
-def multiplicities(rep, max_len=None, max_period=None):
+def multiplicities(rep):
     """Nonzero subquotient dimensions over all candidate strings and bands.
 
-    checksum = sum of |J_w| * f_dim; ``complete`` records whether it reaches
-    dim_K of the module, which the dimension formula guarantees when the
-    search bounds are at their defaults or larger.
+    checksum = sum of |J_w| * f_dim.  The candidates are every string and
+    band that the dimension formula dim_K M = sum |J_w| f_dim(M, w) can
+    involve, so the checksum reaches dim_K of the module; ``complete``
+    records that it does, a self-check that is false only on a defect.
 
     f_dim(w) is 0 when either half-walk of w at min J_w has D^+ = D^-, so
     only candidates whose two halves keep an open gap (``_open_pair``) get a
@@ -259,7 +255,7 @@ def multiplicities(rep, max_len=None, max_period=None):
     """
     pres, dim = rep.pres, rep.dim()
     entries = []
-    for desc in candidate_descriptors(pres, dim, max_len, max_period):
+    for desc in candidate_descriptors(pres, dim):
         word = desc.word
         if not _screen(rep, word):
             continue

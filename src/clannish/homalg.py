@@ -50,8 +50,6 @@ from .reps import Representation
 
 DEFAULT_SEED = 987654321
 BRUTE_LIMIT = 12  # prime-field dimension bound for brute_decompose
-EXHAUSTIVE_END_DIM = 10  # exhaustive idempotent search below this End dimension
-EXHAUSTIVE_FIELD = 4
 
 
 def _seed():
@@ -539,14 +537,7 @@ def is_indecomposable(rep):
 
 
 def _is_local(alg):
-    """End(M) has no idempotents besides 0 and 1: by an exhaustive scan of a
-    small algebra, else End/rad is a field."""
-    if (
-        alg.dim <= EXHAUSTIVE_END_DIM
-        and alg.rep.field.q <= EXHAUSTIVE_FIELD
-        and alg.p ** alg.dim <= 1 << 16
-    ):
-        return _idempotent_exhaustive(alg) is None
+    """End(M) has no idempotents besides 0 and 1: End/rad is a field."""
     return _quotient_is_field(alg, radical_basis(alg))
 
 
@@ -574,18 +565,17 @@ def _splitting_idempotent_from(alg, coeffs, rng):
     return e
 
 
-def _find_splitting_idempotent(rep, alg, stop_if_local=False):
-    """A nontrivial idempotent of End(M), from the basis elements, then
-    their pairwise sums, then random elements and, for a small algebra, an
-    exhaustive scan; OracleFailure if none is found.  With ``stop_if_local``
-    the search returns None instead, once the basis elements have failed
-    and End(M) turns out to be local."""
+def _find_splitting_idempotent(alg):
+    """A nontrivial idempotent of End(M), from the basis elements; None once
+    they have failed and End(M) turns out to be local; else from their
+    pairwise sums, then random elements and, for a small algebra, an
+    exhaustive scan.  OracleFailure if none is found."""
     rng = random.Random(_seed())
     for i in range(alg.dim):
         e = _splitting_idempotent_from(alg, [1 if j == i else 0 for j in range(alg.dim)], rng)
         if e is not None:
             return e
-    if stop_if_local and _is_local(alg):
+    if _is_local(alg):
         return None
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
@@ -652,21 +642,21 @@ def _image_module(rep, e):
     return Representation(pres, dims, mats)
 
 
-def brute_decompose(rep, limit=BRUTE_LIMIT):
+def brute_decompose(rep):
     """Indecomposable summands by recursive idempotent splitting, with one
     End(M) per node."""
-    if rep.prime_dim() > limit:
-        raise TooLarge(f"module of prime dimension {rep.prime_dim()} exceeds {limit}")
+    if rep.prime_dim() > BRUTE_LIMIT:
+        raise TooLarge(f"module of prime dimension {rep.prime_dim()} exceeds {BRUTE_LIMIT}")
     if rep.dim() == 0:
         return []
     alg = EndAlgebra(rep)
-    e = None if alg.dim == 1 else _find_splitting_idempotent(rep, alg, stop_if_local=True)
+    e = None if alg.dim == 1 else _find_splitting_idempotent(alg)
     if e is None:
         return [rep]
     part_a, part_b = _split_by_idempotent(rep, e)
     if part_a.dim() == 0 or part_b.dim() == 0:
         raise OracleFailure("idempotent failed to split the module")
-    return brute_decompose(part_a, limit) + brute_decompose(part_b, limit)
+    return brute_decompose(part_a) + brute_decompose(part_b)
 
 
 def _indec_isomorphic(m1, m2):
@@ -685,8 +675,9 @@ def _indec_isomorphic(m1, m2):
     return False
 
 
-def are_isomorphic(m1, m2, tries=64):
-    """Isomorphism test: random invertible search, then matched decompositions."""
+def are_isomorphic(m1, m2):
+    """Isomorphism test: 64 random morphisms searched for an invertible one,
+    then matched decompositions."""
     if m1.pres is not m2.pres or m1.dims != m2.dims:
         return False
     if m1.dim() == 0:
@@ -696,7 +687,7 @@ def are_isomorphic(m1, m2, tries=64):
         return False
     rng = random.Random(_seed())
     p = m1.field.p
-    for _ in range(tries):
+    for _ in range(64):
         coeffs = [rng.randrange(p) for _ in range(h12.dim)]
         if not any(coeffs):
             continue

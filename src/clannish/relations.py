@@ -22,8 +22,6 @@ from .linalg import (
     slot_bits,
 )
 
-CHECK_LAWS = False
-
 
 class SemilinearRelation(NamedTuple):
     """A relation from a src-dimensional to a tgt-dimensional K-space.
@@ -128,15 +126,9 @@ class SemilinearRelation(NamedTuple):
     def zero_source(self):
         return Subspace.zero(self.p, self._pdims()[0])
 
-    def stable_pair(self, check=None):
+    def stable_pair(self):
         """(C', C''): stable kernel and stable image of an endo-relation."""
-        if self.src != self.tgt:
-            raise SpaceMismatch("stable pair needs an endo-relation")
-        upper = _iterate(self, self.full_source())
-        lower = _iterate(self, self.zero_source())
-        if check or (check is None and CHECK_LAWS):
-            check_stable_image_laws(self, lower, upper)
-        return lower, upper
+        return _stable_pair(self)
 
     def is_q_bound(self, q):
         """(v, w) in X implies (w, beta w - gamma v) in X, on a spanning set."""
@@ -152,6 +144,14 @@ class SemilinearRelation(NamedTuple):
         return self.space._spans(
             [w | (combine((1, p - 1), (bw, gv), p) << shift) for w, bw, gv in zip(ws, bws, gvs)]
         )
+
+
+def _stable_pair(rel):
+    """``rel.stable_pair()``; the law checks call this, so that a wrapper
+    around the method that runs them does not recurse."""
+    if rel.src != rel.tgt:
+        raise SpaceMismatch("stable pair needs an endo-relation")
+    return _iterate(rel, rel.zero_source()), _iterate(rel, rel.full_source())
 
 
 def _iterate(rel, start):
@@ -191,9 +191,8 @@ def check_stable_image_laws(rel, lower=None, upper=None):
     """The stable-pair identities: C'' = C' + C'' /\\ (C^-1)'' and
     C'' /\\ (C^-1)' <= C', together with their mirror images."""
     if lower is None or upper is None:
-        lower, upper = rel.stable_pair(check=False)
-    inv = rel.inverse()
-    ilower, iupper = inv.stable_pair(check=False)
+        lower, upper = _stable_pair(rel)
+    ilower, iupper = _stable_pair(rel.inverse())
     meet = upper.intersect(iupper)
     if upper != lower.sum(meet):
         raise AssertionError("stable-image law (i) fails")

@@ -199,7 +199,7 @@ def matrix_from_json(field, data):
     return Matrix(field, rows)
 
 
-def representation_to_json(rep, include_presentation=True):
+def representation_to_json(rep):
     out = {
         "field": field_to_json(rep.field),
         "dims": dict(rep.dims),
@@ -213,8 +213,7 @@ def representation_to_json(rep, include_presentation=True):
     }
     if rep.labels is not None:
         out["labels"] = {v: [list(x) for x in lst] for v, lst in rep.labels.items()}
-    if include_presentation:
-        out["presentation"] = presentation_to_json(rep.pres)
+    out["presentation"] = presentation_to_json(rep.pres)
     return out
 
 

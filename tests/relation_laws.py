@@ -33,7 +33,7 @@ def check_symmetric_band_rewriting(x_rel, y_rel):
         "ixy": y_rel.inverse().compose(x_rel.inverse()),
         "iyx": x_rel.inverse().compose(y_rel.inverse()),
     }.items():
-        lower, upper = rel.stable_pair(check=False)
+        lower, upper = rel.stable_pair()
         combos[name] = (lower, upper)
     tops = [
         combos["ixy"][1].intersect(combos["iyx"][1]),

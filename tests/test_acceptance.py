@@ -93,12 +93,15 @@ FORMAL = {"s": SIG, "a": THETA}
 
 
 @pytest.fixture(autouse=True)
-def law_checks():
+def law_checks(monkeypatch):
     # criterion 8: assert the relation-calculus laws inline on every stable
     # pair computed during the acceptance run
-    rel_mod.CHECK_LAWS = True
-    yield
-    rel_mod.CHECK_LAWS = False
+    def checked_stable_pair(rel):
+        lower, upper = rel_mod._stable_pair(rel)
+        rel_mod.check_stable_image_laws(rel, lower, upper)
+        return lower, upper
+
+    monkeypatch.setattr(rel_mod.SemilinearRelation, "stable_pair", checked_stable_pair)
 
 
 @pytest.fixture(scope="module")

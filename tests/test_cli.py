@@ -313,17 +313,24 @@ def _main(capsys, *argv):
         ["bands", "example:E1", "--max-period", "0"],
         ["bands", "example:E1", "--max-period", "-1"],
         ["basis", "example:E1", "--max-len", "0"],
-        ["decompose", "{module}", "--max-len", "0"],
-        ["decompose", "{module}", "--max-period", "-2"],
-        ["oracle-check", "{module}", "--max-len", "-1"],
-        ["oracle-check", "{module}", "--max-period", "0"],
+        # decompose and oracle-check derive their search from the module and
+        # take no bound at all
+        ["decompose", "{module}", "--max-len", "3"],
+        ["decompose", "{module}", "--max-period", "2"],
+        ["oracle-check", "{module}", "--max-len", "1"],
+        ["oracle-check", "{module}", "--max-period", "4"],
     ],
 )
 def test_non_positive_bounds_are_invalid(tmp_path, capsys, argv):
+    from clannish import cli
+
     module = tmp_path / "m.json"
     module.write_text(json.dumps(_e1_module()))
-    code, out = _main(capsys, *(a.format(module=module) for a in argv))
-    assert code == 1 and out["error"]["type"] == "InvalidInput"
+    code = cli.main([a.format(module=module) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1 and not err and out.count("\n") == 1
+    kind = "UsageError" if argv[0] in ("decompose", "oracle-check") else "InvalidInput"
+    assert json.loads(out)["error"]["type"] == kind
 
 
 @pytest.mark.parametrize(
@@ -336,6 +343,13 @@ def test_non_positive_bounds_are_invalid(tmp_path, capsys, argv):
         ("(s*.a)", {"dim": -2}),
         ("s*.a.s*", {"dim": 0}),
         ("s*.a.s*", {"dim": True}),
+        # a "dim" other than the size of lambda
+        ("(s*.a)", {"dim": 3, "lambda": [[[1, 0]]]}),
+        # a matrix that the parameter ring K of an asymmetric string does not take
+        ("s*.a.s*", {"lambda": [[[1, 0]]]}),
+        ("s*.a.s*", {"phi": [[[1, 0]]]}),
+        # ... and one that the ring of an asymmetric band does not take
+        ("(s*.a)", {"lambda": [[[1, 0]]], "phi": [[[1, 0]]]}),
     ],
 )
 def test_bad_param_file_is_invalid_input(tmp_path, capsys, word, param):

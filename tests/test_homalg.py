@@ -261,12 +261,16 @@ def test_oracle_failures_are_typed(E1, monkeypatch):
     outside[0] |= 1 << slot_bits(alg.p)  # entry (0, 1)
     with pytest.raises(SpaceMismatch):
         alg.coords(outside)
-    # End of an indecomposable module is local: no idempotent splits it
-    with pytest.raises(OracleFailure):
-        _find_splitting_idempotent(b, alg)
+    # End of an indecomposable module is local: no idempotent splits it, so
+    # a search told otherwise runs out
+    with monkeypatch.context() as patch:
+        patch.setattr(homalg, "_is_local", lambda alg: False)
+        with pytest.raises(OracleFailure):
+            _find_splitting_idempotent(alg)
+    assert _find_splitting_idempotent(alg) is None
     # an idempotent that cuts off nothing is caught, not recursed on
     monkeypatch.setattr(
-        homalg, "_find_splitting_idempotent", lambda rep, alg, **_: mat_identity(alg.amb, alg.p)
+        homalg, "_find_splitting_idempotent", lambda alg: mat_identity(alg.amb, alg.p)
     )
     with pytest.raises(OracleFailure):
         brute_decompose(direct_sum(a, b))

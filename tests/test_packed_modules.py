@@ -185,7 +185,7 @@ def test_split_parts_match_the_k_level_split(name, seed, kdim):
     if rep.prime_dim() > homalg.BRUTE_LIMIT:
         return
     alg = EndAlgebra(rep)
-    e = _find_splitting_idempotent(rep, alg, stop_if_local=True) if alg.dim > 1 else None
+    e = _find_splitting_idempotent(alg) if alg.dim > 1 else None
     if e is None:
         return
     for got, want in zip(_split_by_idempotent(rep, e), k_reference.split_by_idempotent(rep, e)):
@@ -229,9 +229,9 @@ def test_one_end_algebra_per_node_and_no_radical_where_a_basis_element_splits(GP
         radical_nodes.append(alg.rep)
         return radical_basis(alg)
 
-    def recording_decompose(rep, limit=homalg.BRUTE_LIMIT):
+    def recording_decompose(rep):
         calls["brute_decompose"] += 1
-        parts = brute_decompose(rep, limit)
+        parts = brute_decompose(rep)
         if parts == [rep]:
             leaves.append(rep)
         return parts
@@ -285,3 +285,21 @@ def test_the_row_by_row_idempotent_scan_matches_the_full_product_scan(GP2):
         assert homalg._idempotent_exhaustive(alg) == want
         found += want is not None
     assert 0 < found < len(modules)
+
+
+# -- one locality test -------------------------------------------------------------
+
+
+@given(st.sampled_from(NAMES), st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_the_radical_locality_test_matches_the_exhaustive_scan(name, seed, kdim):
+    # _is_local decides by End/rad alone; wherever the scan over all of End(M)
+    # is feasible, it must find a nontrivial idempotent exactly when End(M)
+    # is not local
+    pres = _pres(name)
+    rep = _conjugated_sum(pres, random.Random(seed), kdim)
+    if rep.prime_dim() > homalg.BRUTE_LIMIT:
+        return
+    alg = EndAlgebra(rep)
+    if alg.dim == 1 or alg.p**alg.dim > 1 << 16:
+        return
+    assert homalg._is_local(alg) == (homalg._idempotent_exhaustive(alg) is None)

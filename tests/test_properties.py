@@ -49,7 +49,7 @@ def _endo_relation(draw):
 @given(_endo_relation(), _endo_relation())
 def test_stable_image_laws_on_random_relations(rel, other):
     for r in (rel, rel.inverse()):
-        lower, upper = r.stable_pair(check=False)
+        lower, upper = r.stable_pair()
         assert check_stable_image_laws(r, lower, upper)
         assert lower <= upper
         # both are K-stable: k_dimension raises otherwise
