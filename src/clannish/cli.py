@@ -184,8 +184,8 @@ def _load_param(path):
 
 def _param_matrices(pres, spec, param, path):
     """(lambda, phi) of the --param file, None where it gives none; a matrix
-    that the word's parameter ring does not take, or a "dim" other than a
-    matrix's size, raises InvalidInput."""
+    that the word's parameter ring does not take, one with no rows, or a
+    "dim" other than a matrix's size, raises InvalidInput."""
     # every ring but K = the asymmetric strings' takes lambda; only the
     # symmetric bands' also takes phi
     takes = {"lambda": spec.kind != walks.ASYM_STRING, "phi": spec.kind == walks.SYM_BAND}
@@ -196,6 +196,8 @@ def _param_matrices(pres, spec, param, path):
         if not takes[key]:
             raise InvalidInput(f"{path}: {key!r} is no parameter of a {spec.kind} word")
         mat = mats[key] = serialize.matrix_from_json(pres.field, param[key])
+        if not mat.nrows:
+            raise InvalidInput(f"{path}: {key!r} has no rows")
         if param.get("dim", mat.nrows) != mat.nrows:
             raise InvalidInput(
                 f"{path}: \"dim\" is {param['dim']}, but {key!r} has {mat.nrows} rows"

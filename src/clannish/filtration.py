@@ -8,41 +8,36 @@ from typing import NamedTuple
 from .errors import NotRightEndAdmissible, SpaceMismatch
 from .linalg import Subspace, is_k_stable, k_dim
 from .presentation import Letter
-from . import relations as rel_mod
 from .relations import walk_letter_relation
-from . import walks as walks_mod
-from .walks import WalkLetter, rw_descriptor, walk_letter_tail, walk_shape, walk_star
+from .walks import RwSpec, WalkShape, walk_shape, walk_star
 from . import words as words_mod
 
 
 def _extension_arrows(pres, v, need):
-    """(a, b): arrows extending a walk ending at v with sign need by a^-1
-    (for +) or b (for -), if any."""
+    """(a^-1, b): the letters that extend a walk ending at v with sign need,
+    a^-1 for D^+ and b for D^-, None where there is none."""
     plus = minus = None
     for name in pres.ordinary_arrows():
         if pres.arrows[name].source == v and pres.sign(Letter("i", name)) == need:
-            plus = name
+            plus = Letter("i", name)
         if pres.arrows[name].target == v and pres.sign(Letter("d", name)) == need:
-            minus = name
+            minus = Letter("d", name)
     return plus, minus
 
 
 def _finite_start(rep, v, need):
-    """(D^+, D^-) of the trivial walk at v with sign need."""
-    p = rep.field.p
-    plus_arrow, minus_arrow = _extension_arrows(rep.pres, v, need)
-    if plus_arrow is not None:
-        target = rep.pres.arrows[plus_arrow].target
-        plus = rel_mod.arrow_relation(rep, plus_arrow).preimage(
-            Subspace.zero(p, rep.prime_dim(target))
-        )
+    """(D^+, D^-) of the trivial walk at v with sign need: a^-1(0) = ker a
+    and b(full) = im b, or full and 0 where no letter extends it."""
+    pres, p = rep.pres, rep.field.p
+    plus_letter, minus_letter = _extension_arrows(pres, v, need)
+    if plus_letter is not None:
+        zero = Subspace.zero(p, rep.prime_dim(pres.tail(plus_letter)))
+        plus = walk_letter_relation(rep, plus_letter).image(zero)
     else:
         plus = Subspace.full(p, rep.prime_dim(v))
-    if minus_arrow is not None:
-        source = rep.pres.arrows[minus_arrow].source
-        minus = rel_mod.arrow_relation(rep, minus_arrow).image(
-            Subspace.full(p, rep.prime_dim(source))
-        )
+    if minus_letter is not None:
+        full = Subspace.full(p, rep.prime_dim(pres.tail(minus_letter)))
+        minus = walk_letter_relation(rep, minus_letter).image(full)
     else:
         minus = Subspace.zero(p, rep.prime_dim(v))
     return plus, minus
@@ -108,7 +103,7 @@ def _open_pair(rep, letters, end):
         closed = _open_pair(rep, letters[1:], end) is None
     elif end[0] == "right":
         period = end[1]
-        span = ("span", walk_letter_tail(rep.pres, period[-1]))
+        span = ("span", rep.pres.tail(period[-1]))
         closed = _open_pair(rep, period, span) is None
     else:
         closed = False
@@ -155,16 +150,21 @@ class FunctorReport(NamedTuple):
     f_dim: int
 
 
-def f_dim(rep, desc_or_spec, index=None):
-    """dim_K of the top/bottom subquotient of a string or band descriptor."""
+def f_dim(rep, desc_or_shape, index=None):
+    """dim_K of the top/bottom subquotient of a string or band descriptor.
+
+    ``desc_or_shape`` is a descriptor or its walk shape: a ``WalkShape``, or
+    an ``RwSpec``, which starts with the same kind, word, walk and J_w, the
+    only fields read here.
+    """
     pres = rep.pres
-    spec = (
-        desc_or_spec
-        if isinstance(desc_or_spec, walks_mod.RwSpec)
-        else rw_descriptor(pres, desc_or_spec)
+    shape = (
+        desc_or_shape
+        if isinstance(desc_or_shape, (WalkShape, RwSpec))
+        else walk_shape(pres, desc_or_shape)
     )
-    i = min(spec.Jw) if index is None else index
-    after, before = _half_ends(pres, spec, i)
+    i = min(shape.Jw) if index is None else index
+    after, before = _half_ends(pres, shape, i)
     d_plus, d_minus = _suffix_plus_minus(rep, *after)
     e_plus, e_minus = _suffix_plus_minus(rep, *before)
     top = d_plus.intersect(e_plus)
@@ -174,7 +174,7 @@ def f_dim(rep, desc_or_spec, index=None):
         if not is_k_stable(field, space):
             raise SpaceMismatch("filtration produced a non-K-stable subspace")
     t, b = k_dim(field, top), k_dim(field, bottom)
-    return FunctorReport(spec.word, spec.kind, i, len(spec.Jw), t, b, t - b)
+    return FunctorReport(shape.word, shape.kind, i, len(shape.Jw), t, b, t - b)
 
 
 class DecompositionReport(NamedTuple):
@@ -247,8 +247,8 @@ def multiplicities(rep):
     records that it does, a self-check that is false only on a defect.
 
     f_dim(w) is 0 when either half-walk of w at min J_w has D^+ = D^-, so
-    only candidates whose two halves keep an open gap (``_open_pair``) get a
-    full ``rw_descriptor`` and ``f_dim``.  Each candidate is first screened
+    only candidates whose two halves keep an open gap (``_open_pair``) get
+    ``f_dim``, on their memoised walk shape.  Each candidate is first screened
     on the memo places its word alone fixes (``_screen``); only the ones it
     passes get their shape, their fit to the module and the gap test of
     their two halves.
@@ -264,7 +264,7 @@ def multiplicities(rep):
             continue
         halves = _memo(pres._halves, word, _half_ends, pres, shape, min(shape.Jw))
         if all(_open_pair(rep, letters, end) is not None for letters, end in halves):
-            report = f_dim(rep, rw_descriptor(pres, desc))
+            report = f_dim(rep, shape)
             if report.f_dim:
                 entries.append((desc, report.rank, report.f_dim))
     checksum = sum(r * f for _, r, f in entries)
@@ -282,10 +282,10 @@ def _screen(rep, word):
     """False when the word alone shows that a half of the candidate at
     min J_w = 0 is closed, so that its f_dim is 0; True otherwise.
 
-    Only star letters are oriented by the canonical walk: a direct letter
-    is direct in it and an inverse letter inverse.  A string's halves at 0
-    are its walk letters on the root of its right end, whose suffix after
-    the last star letter the word fixes, and the bare root ("finite", v_0,
+    Only star letters are oriented by the canonical walk: every other word
+    letter is a walk letter as it stands.  A string's halves at 0 are its
+    walk letters on the root of its right end, whose suffix after the last
+    star letter the word fixes, and the bare root ("finite", v_0,
     -eps); a closed suffix closes every walk that ends in it.  A band with
     no star letter is its own canonical walk, and its halves at 0 are its
     block and its inverted block as periodic tails.  The sweep builds the
@@ -301,18 +301,13 @@ def _screen(rep, word):
         left = _finite_end(pres, word.v0, -word.eps)
         return (
             _open_pair(rep, (), left) is not None
-            and _open_pair(rep, _walk_letters(letters), right) is not None
+            and _open_pair(rep, letters, right) is not None
         )
     if pres.special and any(l.kind == "s" for l in word.period):
         return True
-    walk = _walk_letters(word.period)
-    inverted = tuple(l.inverse() for l in reversed(walk))
-    return all(_open_pair(rep, (), ("right", tail)) is not None for tail in (walk, inverted))
-
-
-def _walk_letters(letters):
-    """The walk letters of word letters that hold no star letter."""
-    return tuple(WalkLetter(l.name, l.kind == "d") for l in letters)
+    block = word.period
+    inverted = tuple(l.inverse() for l in reversed(block))
+    return all(_open_pair(rep, (), ("right", tail)) is not None for tail in (block, inverted))
 
 
 def _half_ends(pres, shape, i):

@@ -181,7 +181,9 @@ def arrow_relation(rep, name, inverse=False):
 
 
 def walk_letter_relation(rep, wl):
-    return arrow_relation(rep, wl.name, inverse=not wl.direct)
+    """The relation of a walk letter: its arrow for kind 'd', the inverse
+    relation for kind 'i'."""
+    return arrow_relation(rep, wl.name, inverse=wl.kind == "i")
 
 
 # -- law checks (used by the acceptance suite) ---------------------------------

@@ -260,6 +260,12 @@ def representation_from_json(data, pres=None):
             v: [tuple(_items(x, int, "a label")) for x in _items(lst, list, "key 'labels'")]
             for v, lst in labels.items()
         }
+        for v, lst in labels.items():
+            _check_names(pres, (), v)
+            if len(lst) != dims.get(v, 0):
+                raise InvalidInput(
+                    f"vertex {v!r} has dimension {dims.get(v, 0)}, but {len(lst)} labels"
+                )
     return Representation(pres, dims, mats, labels=labels)
 
 

@@ -1,12 +1,13 @@
 """Walks, their quivers, the canonically associated walk, index automorphisms
 and the explicit construction of string/band modules.
 
-A walk carries the same data as a word but each letter is an arrow with a
-chosen direction (special loops may appear direct or inverse).  Since the
-canonically associated walk of a symmetric band orients symmetry positions
-by the sign of the index, a two-sided shape with separate blocks for the
-positive and non-positive axis is provided alongside finite, right-infinite
-and periodic shapes.
+A walk is a word with each star letter s* replaced by s or s^-1, so its
+letters are word letters of kind 'd' or 'i': a special loop s appears as
+``Letter("d", "s")`` (direct) or ``Letter("i", "s")`` (inverse), and an
+ordinary letter keeps its kind.  Since the canonically associated walk of a
+symmetric band orients symmetry positions by the sign of the index, a
+two-sided shape with separate blocks for the positive and non-positive axis
+is provided alongside finite, right-infinite and periodic shapes.
 """
 
 from __future__ import annotations
@@ -33,19 +34,6 @@ from .words import (
 )
 
 
-class WalkLetter(NamedTuple):
-    """An arrow with a direction; a tuple, so hashed and compared in C."""
-
-    name: str
-    direct: bool
-
-    def inverse(self):
-        return WalkLetter(self.name, not self.direct)
-
-    def __repr__(self):
-        return self.name if self.direct else f"{self.name}^-1"
-
-
 class Walk(NamedTuple):
     shape: str  # 'finite' | 'right' | 'zper' | 'ztwo'
     v0: str
@@ -70,9 +58,6 @@ class Walk(NamedTuple):
             return self.period[(i - 1) % len(self.period)]
         return self.neg_period[(-i) % len(self.neg_period)]
 
-    def length(self):
-        return len(self.letters) if self.shape == "finite" else None
-
     def __repr__(self):
         if self.shape == "finite":
             return "".join(repr(l) for l in self.letters) or f"triv({self.v0},{self.eps:+d})"
@@ -86,20 +71,8 @@ class Walk(NamedTuple):
         )
 
 
-def walk_letter_head(pres, wl):
-    info = pres.arrows[wl.name]
-    return info.target if wl.direct else info.source
-
-
-def walk_letter_tail(pres, wl):
-    info = pres.arrows[wl.name]
-    return info.source if wl.direct else info.target
-
-
 def walk_letter_to_word_letter(pres, wl):
-    if wl.name in pres.special:
-        return Letter("s", wl.name)
-    return Letter("d" if wl.direct else "i", wl.name)
+    return Letter("s", wl.name) if wl.name in pres.special else wl
 
 
 def walk_star(pres, walk):
@@ -118,16 +91,18 @@ def walk_vertex(pres, walk, i):
         return walk.v0
     letter = walk.letter_at(i)
     if letter is not None:
-        return walk_letter_tail(pres, letter)
+        return pres.tail(letter)
     if i > 0 and walk.shape == "finite" and i == len(walk.letters):
-        return walk_letter_tail(pres, walk.letters[-1])
+        return pres.tail(walk.letters[-1])
     raise IndexError(f"index {i} outside the walk")
 
 
 def finite_walk(pres, letters, v0=None, eps=None):
     letters = tuple(letters)
+    if any(l.kind == "s" for l in letters):
+        raise PreconditionViolated("a walk orients every star letter as 'd' or 'i'")
     if letters:
-        v0 = walk_letter_head(pres, letters[0])
+        v0 = pres.head(letters[0])
         eps = pres.sign(walk_letter_to_word_letter(pres, letters[0]))
     walk = Walk("finite", v0, eps, letters)
     words_mod.validate_word(pres, walk_star(pres, walk))
@@ -135,15 +110,15 @@ def finite_walk(pres, letters, v0=None, eps=None):
 
 
 def make_walk_from_word(pres, w, orientations):
-    """Replace each star letter of w by the oriented walk letter.
+    """Replace each star letter s* of w by s (direct) or s^-1 (inverse).
 
     ``orientations``: mapping position -> bool (direct), called at star
     positions only (1..m and 0..1-m for a periodic word of period m); an
-    ordinary letter keeps the direction of its kind.
+    ordinary letter is its own walk letter.
     """
     def orient(positions, letters):
         return tuple(
-            WalkLetter(l.name, orientations(i) if l.kind == "s" else l.kind == "d")
+            Letter("d" if orientations(i) else "i", l.name) if l.kind == "s" else l
             for i, l in zip(positions, letters)
         )
 
@@ -214,7 +189,7 @@ def quiver_of_walk(pres, walk, window=None):
         letter = walk.letter_at(i)
         if letter is None:
             continue
-        if letter.direct:
+        if letter.kind == "d":
             arrows.append((i, i - 1, letter.name))
         else:
             arrows.append((i - 1, i, letter.name))
@@ -246,11 +221,11 @@ def pi_automorphisms(pres, walk, lo=None, hi=None, sigma=None, one=None):
     for i in range(1, hi + 1):
         letter = walk.letter_at(i)
         s = sigma(letter.name)
-        pi[i] = s.inverse() * pi[i - 1] if letter.direct else s * pi[i - 1]
+        pi[i] = s.inverse() * pi[i - 1] if letter.kind == "d" else s * pi[i - 1]
     for i in range(0, lo, -1):
         letter = walk.letter_at(i)  # connects i-1 and i
         s = sigma(letter.name)
-        pi[i - 1] = s * pi[i] if letter.direct else s.inverse() * pi[i]
+        pi[i - 1] = s * pi[i] if letter.kind == "d" else s.inverse() * pi[i]
     return {i: pi[i] for i in range(lo, hi + 1)}
 
 
@@ -261,7 +236,7 @@ def walk_sigma(pres, letters, sigma=None, one=None):
     acc = one if one is not None else Aut(pres.field, 0)
     for letter in letters:
         s = sigma(letter.name)
-        acc = acc * (s if letter.direct else s.inverse())
+        acc = acc * (s if letter.kind == "d" else s.inverse())
     return acc
 
 
@@ -479,16 +454,18 @@ def _walk_rules(pres, walk, i, arrow):
     """
     here = walk.letter_at(i)
     nxt = walk.letter_at(i + 1)
-    if here is not None and here == WalkLetter(arrow, True):
+    on_here = here is not None and here.name == arrow
+    on_next = nxt is not None and nxt.name == arrow
+    if on_here and here.kind == "d":
         return [(None, i - 1)]
-    if nxt is not None and nxt == WalkLetter(arrow, False):
+    if on_next and nxt.kind == "i":
         return [(None, i + 1)]
     if arrow not in pres.special:
         return []
     q = pres.quadratic(arrow)
-    if here is not None and here == WalkLetter(arrow, False):
+    if on_here:  # here is arrow^-1
         return [(q.beta, i), (-q.gamma, i - 1)]
-    if nxt is not None and nxt == WalkLetter(arrow, True):
+    if on_next:  # the next letter is arrow, direct
         return [(q.beta, i), (-q.gamma, i + 1)]
     raise NotEndAdmissible(f"no action rule for {arrow!r} at index {i}")
 

@@ -36,7 +36,6 @@ from clannish.skewquad import (
     classify_quadratic,
 )
 from clannish.walks import (
-    WalkLetter,
     build_module,
     canonical_walk,
     finite_walk,
@@ -165,8 +164,8 @@ def test_criterion_1_quadratic_classification():
 
 def test_criterion_2_walk_and_quiver(presentations):
     E1 = presentations["E1"]
-    si, sd = WalkLetter("s", False), WalkLetter("s", True)
-    ai, ad = WalkLetter("a", False), WalkLetter("a", True)
+    si, sd = Letter("i", "s"), Letter("d", "s")
+    ai, ad = Letter("i", "a"), Letter("d", "a")
     walk = finite_walk(E1, [si, ai, si, ai, si, ad, sd, ad, sd])
     star = walk_star(E1, walk)
     assert star.letters == (S, AI, S, AI, S, A, S, A, S)

@@ -257,6 +257,16 @@ BAD_INPUTS = {
         ),
         "ClannishViolation",
     ),
+    "labels at no vertex": (
+        ["decompose", "{module}"],
+        lambda m: m.update(labels={"9": [[0, 0]]}),
+        "InvalidInput '9'",
+    ),
+    "labels fewer than dims": (
+        ["decompose", "{module}"],
+        lambda m: m.update(labels={"1": [[0, 0]]}),
+        "InvalidInput '1'",
+    ),
     **{
         f"modulus {modulus}": (
             ["quadratic", "--p", "2", "--n", "2", "--beta", "1", "--gamma", "1"]
@@ -350,6 +360,9 @@ def test_non_positive_bounds_are_invalid(tmp_path, capsys, argv):
         ("s*.a.s*", {"phi": [[[1, 0]]]}),
         # ... and one that the ring of an asymmetric band does not take
         ("(s*.a)", {"lambda": [[[1, 0]]], "phi": [[[1, 0]]]}),
+        # a matrix with no rows would build a zero module
+        ("s*", {"lambda": []}),
+        ("(s*.a)", {"lambda": []}),
     ],
 )
 def test_bad_param_file_is_invalid_input(tmp_path, capsys, word, param):

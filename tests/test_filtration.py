@@ -87,6 +87,16 @@ def test_f_dim_evaluation_on_catalog(E1, GP2, A4, DIEU):
             assert report.f_dim == module.dim, (repr(desc.word), report)
 
 
+def test_f_dim_reads_a_descriptor_its_shape_or_its_spec(E1, A4):
+    from clannish.walks import walk_shape
+
+    for pres in (E1, A4):
+        for desc, _, rep in module_catalog(pres, 3, 2):
+            want = f_dim(rep, desc)
+            assert f_dim(rep, walk_shape(pres, desc)) == want
+            assert f_dim(rep, rw_descriptor(pres, desc)) == want
+
+
 def test_f_dim_independent_of_index(E1):
     for desc, module, rep in module_catalog(E1):
         spec = rw_descriptor(E1, desc)

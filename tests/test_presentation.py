@@ -201,7 +201,7 @@ def test_basis_linear_independence_witness(E1, GP2, A4):
 def _canonical_two_sided_walk(pres, ell, depth):
     """The walk D^-1 E of inverse-letter extensions, trimmed to star ends."""
     from clannish import words
-    from clannish.walks import Walk, WalkLetter, finite_walk
+    from clannish.walks import Walk, finite_walk
 
     def grow(eps):
         seq = []
@@ -233,8 +233,8 @@ def _canonical_two_sided_walk(pres, ell, depth):
 
     d_word = grow(1)
     e_word = grow(-1)
-    d_letters = [WalkLetter(l.name, True) for l in reversed(d_word)]
-    e_letters = [WalkLetter(l.name, False) for l in e_word]
+    d_letters = [Letter("d", l.name) for l in reversed(d_word)]
+    e_letters = [Letter("i", l.name) for l in e_word]
     letters = d_letters + e_letters
     if letters:
         walk = finite_walk(pres, letters)
@@ -274,11 +274,22 @@ def test_letter_key_order_is_unchanged(E1, GP2, A4, DIEU):
         assert [repr(l) for l in sorted(pres.letters(), key=Letter.key)] == order
 
 
-def test_a_letter_never_equals_a_walk_letter(E1, GP2, A4, DIEU):
-    from clannish.walks import WalkLetter
-
+def test_a_star_letter_is_neither_walk_orientation(E1, GP2, A4, DIEU):
+    # a walk orients s* as Letter("d", s) or Letter("i", s); neither may
+    # collide with the star letter in a memo key or a set
     for letter in _all_letters(E1, GP2, A4, DIEU):
-        for direct in (True, False):
-            walk_letter = WalkLetter(letter.name, direct)
-            assert letter != walk_letter and walk_letter != letter
-            assert len({letter, walk_letter}) == 2
+        if letter.is_star:
+            assert len({letter, Letter("d", letter.name), Letter("i", letter.name)}) == 3
+
+
+def test_canonical_walks_are_the_catalog_words_with_stars_oriented(E1, GP2, A4, DIEU):
+    from clannish.examples import module_catalog
+    from clannish.walks import canonical_walk, walk_star
+
+    for pres in (E1, GP2, A4, DIEU):
+        for desc, _, _ in module_catalog(pres, 3, 3):
+            w = desc.word
+            walk = canonical_walk(pres, w)
+            letters = walk.letters + walk.period + walk.neg_period
+            assert {l.kind for l in letters} <= {"d", "i"}
+            assert walk_star(pres, walk) == w

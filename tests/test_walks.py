@@ -1,6 +1,6 @@
 import pytest
 
-from clannish.errors import InvalidParameterMatrix, NotEndAdmissible
+from clannish.errors import InvalidParameterMatrix, NotEndAdmissible, PreconditionViolated
 from clannish.linalg import Matrix
 from clannish.presentation import Letter
 from clannish.skewquad import classify_quadratic
@@ -10,7 +10,6 @@ from clannish.walks import (
     SYM_BAND,
     SYM_STRING,
     Walk,
-    WalkLetter,
     build_module,
     canonical_walk,
     finite_walk,
@@ -37,14 +36,12 @@ from k_reference import path_action
 S = Letter("s", "s")
 A = Letter("d", "a")
 AI = Letter("i", "a")
-SD = WalkLetter("s", True)
-SI = WalkLetter("s", False)
-AD = WalkLetter("a", True)
-AIW = WalkLetter("a", False)
+SD = Letter("d", "s")
+SI = Letter("i", "s")
 
 
 def test_walk_star_and_quiver_worked_example(E1):
-    walk = finite_walk(E1, [SI, AIW, SI, AIW, SI, AD, SD, AD, SD])
+    walk = finite_walk(E1, [SI, AI, SI, AI, SI, A, SD, A, SD])
     star = walk_star(E1, walk)
     assert star.letters == (S, AI, S, AI, S, A, S, A, S)
     q = quiver_of_walk(E1, walk)
@@ -54,6 +51,14 @@ def test_walk_star_and_quiver_worked_example(E1):
         (6, 5, "a"), (7, 6, "s"), (8, 7, "a"), (9, 8, "s"),
     )
     assert all(q.vertex_map[i] == "1" for i in q.vertices)
+
+
+def test_a_walk_takes_no_star_letter(E1, A4):
+    # pi_automorphisms would read s* as inverse and walk_letter_relation as
+    # direct, so a walk must orient every star letter
+    for pres, letters in ((E1, [S]), (E1, [SD, A, S]), (A4, [Letter("s", "s")])):
+        with pytest.raises(PreconditionViolated):
+            finite_walk(pres, letters)
 
 
 def test_trivial_walk_quiver(E1):
@@ -72,7 +77,7 @@ def test_periodic_walk_quiver_window(E1):
 def test_canonical_walk_symmetric_string(E1):
     w = finite_word(E1, "1", 1, [S, AI, S, A, S, AI, S, A, S])
     cw = canonical_walk(E1, w)
-    assert cw.letters == (SI, AIW, SI, AD, SI, AIW, SD, AD, SD)
+    assert cw.letters == (SI, AI, SI, A, SI, AI, SD, A, SD)
     # canonical walk of s* alone: symmetry at 1 > 0, so inverse
     assert canonical_walk(E1, finite_word(E1, "1", 1, [S])).letters == (SI,)
 
@@ -84,8 +89,8 @@ def test_canonical_walk_requires_end_admissible(E1):
 
 def test_special_direct_inverse_walks(E1):
     w = finite_word(E1, "1", 1, [S, A, S])
-    assert special_direct_walk(E1, w).letters == (SD, AD, SD)
-    assert special_inverse_walk(E1, w).letters == (SI, AD, SI)
+    assert special_direct_walk(E1, w).letters == (SD, A, SD)
+    assert special_inverse_walk(E1, w).letters == (SI, A, SI)
 
 
 def test_canonical_walk_symmetric_band_two_sided(E1):
@@ -93,9 +98,9 @@ def test_canonical_walk_symmetric_band_two_sided(E1):
     cw = canonical_walk(E1, w)
     assert cw.shape == "ztwo"
     # positive side: s a s^-1 a^-1 s^-1 a^-1 s^-1 a
-    assert cw.period == (SD, AD, SI, AIW, SI, AIW, SI, AD)
+    assert cw.period == (SD, A, SI, AI, SI, AI, SI, A)
     # non-positive side: C_0, C_-1, ... = a, s, a^-1, s^-1, a^-1, s, a, s
-    assert cw.neg_period == (AD, SD, AIW, SI, AIW, SD, AD, SD)
+    assert cw.neg_period == (A, SD, AI, SI, AI, SD, A, SD)
 
 
 def test_pi_chain_rule_everywhere(E1, A4):
@@ -109,7 +114,7 @@ def test_pi_chain_rule_everywhere(E1, A4):
         for i in range(lo + 1, hi + 1):
             letter = walk.letter_at(i)
             sig = pres.sigma(letter.name)
-            if letter.direct:  # arrow i -> i-1
+            if letter.kind == "d":  # arrow i -> i-1
                 assert pi[i - 1] == sig * pi[i]
             else:  # arrow i-1 -> i
                 assert pi[i] == sig * pi[i - 1]
@@ -306,7 +311,7 @@ def test_band_parameters_helper(GP2, E1):
 
 def test_walk_module_and_rank_drop(E1, GP2):
     # relation-admissible words: all defining relations vanish on M(C)
-    walk = finite_walk(E1, [SI, AD, SI])
+    walk = finite_walk(E1, [SI, A, SI])
     rep = walk_module(E1, walk)
     assert rep.dim() == 4 and rep.check_relations()
     # ss acts as the identity on M(C) since s^2 = e in this algebra
@@ -314,7 +319,7 @@ def test_walk_module_and_rank_drop(E1, GP2):
     assert act.matrix == Matrix.identity(E1.field, 4)
 
     # non-relation-admissible word: some zero relation acts nonzero
-    x, y = WalkLetter("x", True), WalkLetter("y", True)
+    x = Letter("d", "x")
     bad = finite_walk(GP2, [x, x, x])  # word xxx contains the relation xxx
     rep_bad = walk_module(GP2, bad)
     assert not rep_bad.check_relations()
