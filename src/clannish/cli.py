@@ -133,13 +133,13 @@ def cmd_quadratic(args):
 
 
 def _descriptor_payload(pres, desc):
-    spec = walks.rw_descriptor(pres, desc)
+    shape = walks.walk_shape(pres, desc)
     return {
         "word": serialize.word_to_json(desc.word),
         "compact": serialize.word_to_compact(desc.word),
         "symmetric": desc.symmetric,
-        "kind": spec.kind,
-        "Jw": len(spec.Jw),
+        "kind": shape.kind,
+        "Jw": len(shape.Jw),
     }
 
 

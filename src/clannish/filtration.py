@@ -9,7 +9,7 @@ from .errors import NotRightEndAdmissible, SpaceMismatch
 from .linalg import Subspace, is_k_stable, k_dim
 from .presentation import Letter
 from .relations import walk_letter_relation
-from .walks import RwSpec, WalkShape, walk_shape, walk_star
+from .walks import RwSpec, WalkShape, walk_shape
 from . import words as words_mod
 
 
@@ -129,7 +129,7 @@ def _finite_end(pres, v, need):
 def _walk_end(pres, walk):
     """(letters, end): where the filtration memo keeps a one-sided walk."""
     if walk.shape == "finite":
-        return walk.letters, _finite_end(pres, *words_mod.right_end(pres, walk_star(pres, walk)))
+        return walk.letters, _finite_end(pres, *words_mod.right_end(pres, walk))
     if walk.shape == "right":
         return walk.letters, ("right", walk.period)
     raise NotRightEndAdmissible("two-sided walks have no one-sided filtration")
@@ -260,7 +260,7 @@ def multiplicities(rep):
         if not _screen(rep, word):
             continue
         shape = _memo(pres._shapes, word, walk_shape, pres, desc)
-        if len(shape.Jw) > dim or not _vertex_counts_fit(rep, shape):
+        if not _vertex_counts_fit(rep, shape):
             continue
         halves = _memo(pres._halves, word, _half_ends, pres, shape, min(shape.Jw))
         if all(_open_pair(rep, letters, end) is not None for letters, end in halves):
@@ -312,35 +312,19 @@ def _screen(rep, word):
 
 def _half_ends(pres, shape, i):
     """The memo places (letters, end) of the two half-walks C_{>i} and
-    (C_{<=i})^-1 that f_dim intersects at i, read off the shape's walk and
-    word as ``_walk_end`` finds them for ``walk_suffix`` and
-    ``walk_prefix_inverse``.
+    (C_{<=i})^-1 that f_dim intersects at i: ``_walk_end`` of
+    ``words.suffix`` and ``words.prefix_inverse`` of the shape's walk.
 
     A string's halves end at its right end and at ("finite", v_0, -eps);
     both must be right-end-admissible.  A suffix and an inverted prefix of a
-    chain are chains, so the word is validated once, not each half.  A
-    band's halves run into a rotated block and an inverted block, after the
-    letters up to index 0 when a two-sided walk is cut off the positive or
-    the non-positive side.
+    chain are chains, so a string is validated once, not each half.
     """
-    walk, word = shape.walk, shape.word
+    walk = shape.walk
     if walk.shape == "finite":
-        words_mod.validate_word(pres, word)
-        right = _finite_end(pres, *words_mod.right_end(pres, word))
-        left = _finite_end(pres, word.v0, -word.eps)
-        before = tuple(l.inverse() for l in reversed(walk.letters[:i]))
-        return (walk.letters[i:], right), (before, left)
-    at, m = walk.letter_at, len(walk.period)
-    if walk.shape == "zper" or i >= 0:
-        after = ((), ("right", tuple(at(i + 1 + j) for j in range(m))))
-    else:
-        after = (tuple(at(j) for j in range(i + 1, 1)), ("right", walk.period))
-    if walk.shape == "zper" or i <= 0:
-        before = ((), ("right", tuple(at(i - j).inverse() for j in range(m))))
-    else:
-        prefix = tuple(at(j).inverse() for j in range(i, 0, -1))
-        before = (prefix, ("right", tuple(at(-j).inverse() for j in range(m))))
-    return after, before
+        words_mod.validate_word(pres, walk)
+    return tuple(
+        _walk_end(pres, half(pres, walk, i)) for half in (words_mod.suffix, words_mod.prefix_inverse)
+    )
 
 
 def _vertex_counts_fit(rep, shape):

@@ -77,6 +77,12 @@ class Presentation:
         self.special = dict(special)  # name -> SkewQuadratic
         self.zero_relations = tuple(tuple(r) for r in zero_relations)
         self.signs = dict(signs)  # Letter -> +-1
+        # sign() also answers for a special loop s oriented in a walk as
+        # Letter("d", s) or Letter("i", s): the sign of its star letter s*
+        self._signs = {
+            **self.signs,
+            **{Letter(kind, s): self.signs[Letter("s", s)] for s in self.special for kind in "di"},
+        }
         # vertex -> its special loops by name, read by every admissibility test
         self._specials_at = {
             v: tuple(s for s in sorted(self.special) if self.arrows[s].source == v)
@@ -117,7 +123,7 @@ class Presentation:
         return info.target if letter.kind == "i" else info.source
 
     def sign(self, letter):
-        return self.signs[letter]
+        return self._signs[letter]
 
     def specials_at(self, vertex):
         """The special loops at a vertex, sorted by name."""

@@ -1,13 +1,13 @@
 """Walks, their quivers, the canonically associated walk, index automorphisms
 and the explicit construction of string/band modules.
 
-A walk is a word with each star letter s* replaced by s or s^-1, so its
-letters are word letters of kind 'd' or 'i': a special loop s appears as
-``Letter("d", "s")`` (direct) or ``Letter("i", "s")`` (inverse), and an
-ordinary letter keeps its kind.  Since the canonically associated walk of a
-symmetric band orients symmetry positions by the sign of the index, a
-two-sided shape with separate blocks for the positive and non-positive axis
-is provided alongside finite, right-infinite and periodic shapes.
+A walk is a word with each star letter s* replaced by s or s^-1, so it is a
+``words.Word`` whose letters are of kind 'd' or 'i': a special loop s
+appears as ``Letter("d", "s")`` (direct) or ``Letter("i", "s")`` (inverse),
+and an ordinary letter keeps its kind.  Since the canonically associated
+walk of a symmetric band orients symmetry positions by the sign of the
+index, ``Word`` has a walk-only two-sided shape 'ztwo', with separate blocks
+for the positive and the non-positive axis.
 """
 
 from __future__ import annotations
@@ -34,50 +34,9 @@ from .words import (
 )
 
 
-class Walk(NamedTuple):
-    shape: str  # 'finite' | 'right' | 'zper' | 'ztwo'
-    v0: str
-    eps: int
-    letters: tuple = ()  # finite: all; right: prefix
-    period: tuple = ()  # right/zper: block; ztwo: block for i >= 1
-    neg_period: tuple = ()  # ztwo: block with C_0 = neg[0], C_{-j} = neg[j % m]
-
-    def letter_at(self, i):
-        if self.shape == "finite":
-            return self.letters[i - 1] if 1 <= i <= len(self.letters) else None
-        if self.shape == "right":
-            if i < 1:
-                return None
-            k = len(self.letters)
-            if i <= k:
-                return self.letters[i - 1]
-            return self.period[(i - k - 1) % len(self.period)]
-        if self.shape == "zper":
-            return self.period[(i - 1) % len(self.period)]
-        if i >= 1:
-            return self.period[(i - 1) % len(self.period)]
-        return self.neg_period[(-i) % len(self.neg_period)]
-
-    def __repr__(self):
-        if self.shape == "finite":
-            return "".join(repr(l) for l in self.letters) or f"triv({self.v0},{self.eps:+d})"
-        if self.shape == "right":
-            return "".join(repr(l) for l in self.letters) + "(" + "".join(repr(l) for l in self.period) + ")^inf"
-        if self.shape == "zper":
-            return "inf(" + "".join(repr(l) for l in self.period) + ")inf"
-        return (
-            "...(" + "".join(repr(l) for l in reversed(self.neg_period)) + ")|("
-            + "".join(repr(l) for l in self.period) + ")..."
-        )
-
-
-def walk_letter_to_word_letter(pres, wl):
-    return Letter("s", wl.name) if wl.name in pres.special else wl
-
-
 def walk_star(pres, walk):
     """The underlying word C*."""
-    conv = lambda block: tuple(walk_letter_to_word_letter(pres, l) for l in block)
+    conv = lambda block: tuple(Letter("s", l.name) if l.name in pres.special else l for l in block)
     if walk.shape == "finite":
         return Word("finite", walk.v0, walk.eps, conv(walk.letters))
     if walk.shape == "right":
@@ -86,27 +45,14 @@ def walk_star(pres, walk):
     return Word("zper", walk.v0, walk.eps, (), conv(walk.period))
 
 
-def walk_vertex(pres, walk, i):
-    if i == 0:
-        return walk.v0
-    letter = walk.letter_at(i)
-    if letter is not None:
-        return pres.tail(letter)
-    if i > 0 and walk.shape == "finite" and i == len(walk.letters):
-        return pres.tail(walk.letters[-1])
-    raise IndexError(f"index {i} outside the walk")
-
-
 def finite_walk(pres, letters, v0=None, eps=None):
     letters = tuple(letters)
     if any(l.kind == "s" for l in letters):
         raise PreconditionViolated("a walk orients every star letter as 'd' or 'i'")
     if letters:
         v0 = pres.head(letters[0])
-        eps = pres.sign(walk_letter_to_word_letter(pres, letters[0]))
-    walk = Walk("finite", v0, eps, letters)
-    words_mod.validate_word(pres, walk_star(pres, walk))
-    return walk
+        eps = pres.sign(letters[0])
+    return words_mod.validate_word(pres, Word("finite", v0, eps, letters))
 
 
 def make_walk_from_word(pres, w, orientations):
@@ -123,15 +69,15 @@ def make_walk_from_word(pres, w, orientations):
         )
 
     if w.shape == "finite":
-        return Walk("finite", w.v0, w.eps, orient(range(1, len(w.letters) + 1), w.letters))
+        return Word("finite", w.v0, w.eps, orient(range(1, len(w.letters) + 1), w.letters))
     if w.shape == "zper":
         m = len(w.period)
         pos = orient(range(1, m + 1), w.period)
         # positions 0, -1, ..., 1 - m hold w_m, w_{m-1}, ..., w_1
         neg = orient(range(0, -m, -1), w.period[::-1])
         if neg == pos[::-1]:
-            return Walk("zper", w.v0, w.eps, (), pos)
-        return Walk("ztwo", w.v0, w.eps, (), pos, neg)
+            return Word("zper", w.v0, w.eps, (), pos)
+        return Word("ztwo", w.v0, w.eps, (), pos, neg)
     raise NotEndAdmissible("canonical walks exist for finite or periodic words")
 
 
@@ -193,7 +139,7 @@ def quiver_of_walk(pres, walk, window=None):
             arrows.append((i, i - 1, letter.name))
         else:
             arrows.append((i - 1, i, letter.name))
-    vmap = {i: walk_vertex(pres, walk, i) for i in vertices}
+    vmap = {i: words_mod.vertex_at(pres, walk, i) for i in vertices}
     return WalkQuiver(vertices, tuple(arrows), vmap)
 
 
@@ -252,7 +198,7 @@ SYM_BAND = "sym_band"
 class RwSpec(NamedTuple):
     kind: str
     word: Word
-    walk: Walk
+    walk: Word
     Jw: tuple
     pi: dict
     tau: Aut | None = None
@@ -264,10 +210,6 @@ class RwSpec(NamedTuple):
     r: int | None = None
     n: int | None = None  # length (strings) or half/full period (bands)
 
-    @property
-    def rank(self):
-        return len(self.Jw)
-
 
 class WalkShape(NamedTuple):
     """What a descriptor fixes before any parameter data: its kind, word,
@@ -275,7 +217,7 @@ class WalkShape(NamedTuple):
 
     kind: str
     word: Word
-    walk: Walk
+    walk: Word
     Jw: tuple
     form: object = None
 
@@ -524,56 +466,6 @@ def build_module(pres, desc_or_spec, module=None, dim=1, lam=None, phi=None):
     return Representation(pres, dims, mats, labels=labels)
 
 
-def walk_suffix(pres, walk, i):
-    """The walk C_{>i}."""
-    if walk.shape == "finite":
-        n = len(walk.letters)
-        letters = walk.letters[i:]
-        if letters:
-            return finite_walk(pres, letters)
-        star = walk_star(pres, walk)
-        tail = words_mod.suffix(pres, star, i)
-        return Walk("finite", tail.v0, tail.eps, ())
-    if walk.shape in ("zper", "ztwo"):
-        m = len(walk.period)
-        if walk.shape == "zper" or i >= 0:
-            block = tuple(walk.period[(i + j) % m] for j in range(m))
-            v0 = walk_vertex(pres, walk, i)
-            eps = pres.sign(walk_letter_to_word_letter(pres, block[0]))
-            return Walk("right", v0, eps, (), block)
-        # ztwo with i < 0: prefix from the non-positive side, then the block
-        prefix = tuple(walk.letter_at(j) for j in range(i + 1, 1))
-        block = walk.period
-        v0 = walk_vertex(pres, walk, i)
-        eps = pres.sign(walk_letter_to_word_letter(pres, prefix[0]))
-        return Walk("right", v0, eps, prefix, block)
-    raise PreconditionViolated("suffix of a right-infinite walk is not needed")
-
-
-def walk_prefix_inverse(pres, walk, i):
-    """The walk (C_{<=i})^{-1}."""
-    if walk.shape == "finite":
-        letters = tuple(walk.letters[j].inverse() for j in range(i - 1, -1, -1))
-        if letters:
-            return finite_walk(pres, letters)
-        star = walk_star(pres, walk)
-        left = words_mod.prefix_inverse(pres, star, i)
-        return Walk("finite", left.v0, left.eps, ())
-    if walk.shape in ("zper", "ztwo"):
-        m = len(walk.period)
-        if walk.shape == "zper" or i <= 0:
-            block = tuple(walk.letter_at(i - j).inverse() for j in range(m))
-            v0 = walk_vertex(pres, walk, i)
-            eps = pres.sign(walk_letter_to_word_letter(pres, block[0]))
-            return Walk("right", v0, eps, (), block)
-        prefix = tuple(walk.letter_at(j).inverse() for j in range(i, 0, -1))
-        block = tuple(walk.letter_at(-j).inverse() for j in range(m))
-        v0 = walk_vertex(pres, walk, i)
-        eps = pres.sign(walk_letter_to_word_letter(pres, prefix[0]))
-        return Walk("right", v0, eps, prefix, block)
-    raise PreconditionViolated("prefix of a right-infinite walk is not needed")
-
-
 def walk_module(pres, walk):
     """M(C) itself for a finite walk with end-admissible word, basis b_0..b_n.
 
@@ -589,7 +481,7 @@ def walk_module(pres, walk):
     n = len(walk.letters)
     basis = {v: [] for v in pres.vertices}
     for i in range(n + 1):
-        basis[walk_vertex(pres, walk, i)].append(i)
+        basis[words_mod.vertex_at(pres, walk, i)].append(i)
     index = {v: {i: pos for pos, i in enumerate(lst)} for v, lst in basis.items()}
     dims = {v: len(lst) for v, lst in basis.items()}
     mats = {}
@@ -597,7 +489,7 @@ def walk_module(pres, walk):
         info = pres.arrows[arrow]
         rows = [[field.zero() for _ in range(dims[info.target])] for _ in range(dims[info.source])]
         for i in range(n + 1):
-            if walk_vertex(pres, walk, i) != info.source:
+            if words_mod.vertex_at(pres, walk, i) != info.source:
                 continue
             for coeff, h in _walk_rules(pres, walk, i, arrow):
                 val = field.one() if coeff is None else coeff

@@ -2,10 +2,13 @@
 symmetry classification, and enumeration of strings and bands.
 
 A word is a signed chain of letters (direct/inverse ordinary letters and
-self-inverse star letters).  Three shapes appear: finite, right-infinite
-eventually periodic (for suffix/prefix-inverse views of bands), and
-Z-indexed periodic.  Comparisons between eventually periodic words are
-decided on a finite horizon past which both sides are in periodic lock-step.
+self-inverse star letters).  A walk is a word of the same record whose
+letters are of kind 'd' or 'i' only (``walks``).  Four shapes appear:
+finite, right-infinite eventually periodic (for suffix/prefix-inverse views
+of bands), Z-indexed periodic, and, for walks only, Z-indexed with separate
+blocks for the positive and the non-positive indices ('ztwo').  Comparisons
+between eventually periodic words are decided on a finite horizon past which
+both sides are in periodic lock-step.
 """
 
 from __future__ import annotations
@@ -27,16 +30,12 @@ NATURALLY_INVERSE = "inverse"
 
 
 class Word(NamedTuple):
-    shape: str  # 'finite' | 'right' | 'zper'
+    shape: str  # 'finite' | 'right' | 'zper' | 'ztwo'
     v0: str
     eps: int
-    letters: tuple = ()  # finite: all letters; right: the prefix; zper: unused
-    period: tuple = ()  # right: repeating block; zper: block w_1..w_m
-
-    def length(self):
-        if self.shape != "finite":
-            return None
-        return len(self.letters)
+    letters: tuple = ()  # finite: all letters; right: the prefix; z*: unused
+    period: tuple = ()  # right: repeating block; zper: block w_1..w_m; ztwo: block for i >= 1
+    neg_period: tuple = ()  # ztwo: block with w_0 = neg[0], w_{-j} = neg[j % m]
 
     def letter_at(self, i):
         """w_i, or None when i is outside the index set."""
@@ -49,6 +48,8 @@ class Word(NamedTuple):
             if i <= k:
                 return self.letters[i - 1]
             return self.period[(i - k - 1) % len(self.period)]
+        if self.shape == "ztwo" and i < 1:
+            return self.neg_period[(-i) % len(self.neg_period)]
         return self.period[(i - 1) % len(self.period)]
 
     def __repr__(self):
@@ -57,6 +58,11 @@ class Word(NamedTuple):
             return body
         if self.shape == "right":
             return "".join(repr(l) for l in self.letters) + "(" + "".join(repr(l) for l in self.period) + ")^inf"
+        if self.shape == "ztwo":
+            return (
+                "...(" + "".join(repr(l) for l in reversed(self.neg_period)) + ")|("
+                + "".join(repr(l) for l in self.period) + ")..."
+            )
         return "inf(" + "".join(repr(l) for l in self.period) + ")inf"
 
 
@@ -83,8 +89,8 @@ def vertex_at(pres, w, i):
     """v_i(w)."""
     if i == 0 or (w.shape == "finite" and not w.letters):
         return w.v0
-    if i > 0 or w.shape == "zper":
-        letter = w.letter_at(i if i > 0 else i)
+    if i > 0 or w.shape in ("zper", "ztwo"):
+        letter = w.letter_at(i)
         if letter is None:
             raise IndexError(f"index {i} outside the word")
         return pres.tail(letter)
@@ -191,10 +197,14 @@ def suffix(pres, w, i):
         else:
             eps = w.eps
         return Word("finite", vertex_at(pres, w, i), eps, letters)
-    if w.shape == "zper":
+    if w.shape == "zper" or (w.shape == "ztwo" and i >= 0):
         m = len(w.period)
         block = tuple(w.period[(i + j) % m] for j in range(m))
         return Word("right", vertex_at(pres, w, i), pres.sign(block[0]), (), block)
+    if w.shape == "ztwo":
+        # the letters up to index 0 from the non-positive side, then the block
+        prefix = tuple(w.letter_at(j) for j in range(i + 1, 1))
+        return Word("right", vertex_at(pres, w, i), pres.sign(prefix[0]), prefix, w.period)
     # right-infinite
     k = len(w.letters)
     if i < 0:
@@ -223,6 +233,15 @@ def prefix_inverse(pres, w, i):
         m = len(w.period)
         block = tuple(w.period[(i - 1 - j) % m].inverse() for j in range(m))
         return Word("right", vertex_at(pres, w, i), pres.sign(block[0]), (), block)
+    if w.shape == "ztwo":
+        m = len(w.period)
+        at = w.letter_at
+        # the letters down to index 1 from the positive side, then the
+        # inverted block of the non-positive side
+        prefix = tuple(at(j).inverse() for j in range(i, 0, -1))
+        block = tuple(at(min(i, 0) - j).inverse() for j in range(m))
+        first = prefix[0] if prefix else block[0]
+        return Word("right", vertex_at(pres, w, i), pres.sign(first), prefix, block)
     # right-infinite: w_{<=i} is finite
     if i < 0:
         raise IndexError("negative index on a right-infinite word")

@@ -190,6 +190,9 @@ BAD_INPUTS = {
     "missing file": (["validate", "{missing}"], None, "InvalidInput"),
     "malformed JSON": (["decompose", "{module}"], "{bad", "InvalidInput"),
     "unknown letter": (["build", "example:E1", "--word", "zz"], None, "InvalidInput"),
+    # a word spells a special loop s as s* only; s and s^-1 are walk letters
+    "special loop as an arrow": (["fdim", "{module}", "--word", "s"], lambda m: None, "InvalidInput 's'"),
+    "special loop inverted": (["build", "example:E1", "--word", "s^-1"], None, "InvalidInput 's^-1'"),
     **{
         f"output {what}": (
             ["build", "example:GP2", "--word", "x^-1.y", "-o", target],

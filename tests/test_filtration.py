@@ -9,7 +9,6 @@ from clannish.linalg import Subspace, is_k_stable
 from clannish.presentation import Letter
 from clannish.skewquad import classify_quadratic
 from clannish.walks import (
-    Walk,
     build_module,
     canonical_walk,
     rw_descriptor,
@@ -18,6 +17,7 @@ from clannish.walks import (
 )
 from clannish.words import (
     StringDescriptor,
+    Word,
     compare,
     enumerate_strings,
     finite_word,
@@ -50,15 +50,15 @@ def test_walk_plus_minus_trivial_walk(E1, GP2):
 
     rep = m_of_star(E1)
     # with the special loop signed +1 at this vertex, only eps = -1 lies in H
-    plus, minus = walk_plus_minus(rep, Walk("finite", "1", -1, ()))
+    plus, minus = walk_plus_minus(rep, Word("finite", "1", -1, ()))
     assert minus.dim == 0
     assert plus == Subspace.full(2, rep.prime_dim("1"))
     with pytest.raises(NotRightEndAdmissible):
-        walk_plus_minus(rep, Walk("finite", "1", 1, ()))
+        walk_plus_minus(rep, Word("finite", "1", 1, ()))
     # without special loops both signs work; x has sign +1 and y sign -1
     gp_mod = [r for _, _, r in module_catalog(GP2, max_string_len=2, max_band_period=2)][1]
     for eps in (1, -1):
-        plus, minus = walk_plus_minus(gp_mod, Walk("finite", "1", eps, ()))
+        plus, minus = walk_plus_minus(gp_mod, Word("finite", "1", eps, ()))
         assert minus <= plus
 
 
@@ -72,9 +72,9 @@ def test_walk_plus_minus_band_tail_stable(E1):
     from clannish.linalg import Matrix
 
     rep = build_module(E1, spec, lam=Matrix(E1.field, [[1]]))
-    from clannish.walks import walk_suffix
+    from clannish.words import suffix
 
-    tail = walk_suffix(E1, spec.walk, 0)
+    tail = suffix(E1, spec.walk, 0)
     plus, minus = walk_plus_minus(rep, tail)
     assert minus <= plus
     assert is_k_stable(rep.field, plus) and is_k_stable(rep.field, minus)
@@ -169,14 +169,14 @@ def test_vertex_prefilter_keeps_report_complete(A4):
 def test_orientation_exchange_dims_agree(E1):
     # the direct, canonical, and inverse orientations give the same functor
     # dimension on test modules (orientation invariance)
-    from clannish.walks import walk_prefix_inverse, walk_suffix
+    from clannish.words import prefix_inverse, suffix
     from clannish.linalg import k_dim
 
     def dims_for(rep, walk, Jw):
         out = []
         for i in (min(Jw), max(Jw)):
-            after = walk_suffix(E1, walk, i)
-            before = walk_prefix_inverse(E1, walk, i)
+            after = suffix(E1, walk, i)
+            before = prefix_inverse(E1, walk, i)
             dp, dm = walk_plus_minus(rep, after)
             ep, em = walk_plus_minus(rep, before)
             top = dp.intersect(ep)

@@ -35,11 +35,9 @@ from clannish.walks import (
     WalkShape,
     rw_descriptor,
     special_direct_walk,
-    walk_prefix_inverse,
     walk_shape,
-    walk_suffix,
 )
-from clannish.words import vertex_at
+from clannish.words import prefix_inverse, suffix, validate_word, vertex_at
 from test_suffix_memo import PRESENTATIONS, _conjugated_sum
 
 # -- the reference sweep -------------------------------------------------------
@@ -58,7 +56,7 @@ def _fits(rep, spec):
 def _open_halves(rep, spec):
     """Whether each half-walk that f_dim intersects has D^+ != D^-."""
     i = min(spec.Jw)
-    halves = (walk_suffix(rep.pres, spec.walk, i), walk_prefix_inverse(rep.pres, spec.walk, i))
+    halves = (suffix(rep.pres, spec.walk, i), prefix_inverse(rep.pres, spec.walk, i))
     return tuple(plus != minus for plus, minus in (walk_plus_minus(rep, h) for h in halves))
 
 
@@ -269,28 +267,67 @@ def _shapes_with_cut_ends(pres, dim):
             yield WalkShape(ASYM_STRING, cut, special_direct_walk(pres, cut), tuple(range(n + 1)))
 
 
+def _window(walk):
+    """The cuts i tried on a walk: all of a finite walk, and two periods
+    about 0 of a periodic one."""
+    if walk.shape == "finite":
+        return range(len(walk.letters) + 1)
+    m = len(walk.period)
+    return range(-m, m + 1)
+
+
+def _memo_letter(place, j):
+    """The j-th letter (j >= 1) of the half-walk kept at a memo place
+    (letters, end), or None past the end of a finite one."""
+    letters, end = place
+    if j <= len(letters):
+        return letters[j - 1]
+    if end[0] == "finite":
+        return None
+    period = end[1]
+    return period[(j - len(letters) - 1) % len(period)]
+
+
+def _check_halves(pres, walk, i):
+    """C_{>i} and (C_{<=i})^-1 as the definition has them: the letters of C
+    after i, and the inverted letters of C from i down, as one-sided walks
+    that start at v_i; returns the letters read, up to a horizon past which a
+    periodic half repeats."""
+    after, before = suffix(pres, walk, i), prefix_inverse(pres, walk, i)
+    inverse = lambda letter: None if letter is None else letter.inverse()
+    horizon = 2 * (len(walk.letters) + len(walk.period)) + 2
+    for half in (after, before):
+        validate_word(pres, half)
+        assert half.shape in ("finite", "right") and half.v0 == vertex_at(pres, walk, i)
+    want_after = [walk.letter_at(i + j) for j in range(1, horizon + 1)]
+    want_before = [inverse(walk.letter_at(i + 1 - j)) for j in range(1, horizon + 1)]
+    assert [after.letter_at(j) for j in range(1, horizon + 1)] == want_after, (walk, i)
+    assert [before.letter_at(j) for j in range(1, horizon + 1)] == want_before, (walk, i)
+    return want_after, want_before
+
+
 def test_half_ends_read_off_the_word_are_the_walks_memo_places():
-    # every i in J_w of every candidate with d <= 8, on every presentation:
-    # _half_ends gives the (letters, end) that _walk_end gives for the built
-    # walks C_{>i} and (C_{<=i})^-1, or raises the same exception type
+    # every cut i in a window about J_w of every candidate with d <= 8, on
+    # every presentation: the halves are C_{>i} and (C_{<=i})^-1 letter by
+    # letter, and _half_ends keeps each at a memo place that spells it, or
+    # raises when a finite half ends where no walk may
     kinds, raised = set(), set()
     for name in sorted(PRESENTATIONS):
         pres = _pres(name)
         for shape in _shapes_with_cut_ends(pres, 8):
-            for i in shape.Jw:
-                want = _outcome(
-                    lambda: tuple(
-                        filtration._walk_end(pres, half(pres, shape.walk, i))
-                        for half in (walk_suffix, walk_prefix_inverse)
-                    )
-                )
-                assert _outcome(lambda: filtration._half_ends(pres, shape, i)) == want
-                kinds.add((shape.walk.shape, (i > 0) - (i < 0)))
-                if isinstance(want, type):
-                    raised.add(want)
+            walk = shape.walk
+            for i in _window(walk):
+                halves = _check_halves(pres, walk, i)
+                got = _outcome(lambda: filtration._half_ends(pres, shape, i))
+                kinds.add((walk.shape, (i > 0) - (i < 0)))
+                if isinstance(got, type):
+                    raised.add(got)
+                    continue
+                for place, want in zip(got, halves):
+                    assert [_memo_letter(place, j + 1) for j in range(len(want))] == want
     # a raise, and every kind of cut: a two-sided walk on either side of 0
     assert raised == {NotRightEndAdmissible}
-    assert {("finite", 0), ("finite", 1), ("zper", 0), ("zper", 1)} <= kinds
+    assert {("finite", 0), ("finite", 1), ("zper", -1), ("zper", 0), ("zper", 1)} <= kinds
     assert {("ztwo", -1), ("ztwo", 0), ("ztwo", 1)} <= kinds
 
 

@@ -12,26 +12,29 @@ axioms stay the library's.  Two shapes are drawn:
   2, with ab = ac = ba = cb = cc = 0.
 
 The draws feed the dimension formula on conjugated catalog sums with planted
-summands, and the reference sweep of ``test_gap_pruning``.
+summands, the reference sweep of ``test_gap_pruning`` and, with the bundled
+presentations, the definition of the half-walks of a canonical walk.
 """
 
 import functools
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from clannish.errors import ClannishError
 from clannish.examples import module_catalog
 from clannish.fields import make_field
-from clannish.filtration import multiplicities, walk_plus_minus
+from clannish.filtration import candidate_descriptors, multiplicities, walk_plus_minus
 from clannish.homalg import direct_sum
 from clannish.presentation import ArrowInfo, Letter, validate
 from clannish.relations import arrow_relation
 from clannish.reps import Representation
-from clannish.walks import finite_walk
-from clannish.words import word_key
-from test_gap_pruning import _pruned, reference_multiplicities
+from clannish.walks import canonical_walk, finite_walk
+from clannish.words import prefix_inverse, suffix, word_key
+from test_gap_pruning import _check_halves, _pres, _pruned, _window, reference_multiplicities
+from test_suffix_memo import PRESENTATIONS
 from test_properties import _random_conjugate
 
 FIELDS = ((2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
@@ -125,6 +128,57 @@ def test_generated_pruned_sweep_equals_the_reference_sweep(key, seed, kdim):
     got, evaluated = _pruned(module)
     assert got == want and got.complete
     assert evaluated == open_words
+
+
+# -- walks are words ------------------------------------------------------------
+
+
+def test_an_oriented_special_loop_has_the_sign_of_its_star_letter():
+    # a walk letter Letter("d"/"i", s) reads the sign of s*, which stays the
+    # only spelling of s that the sign table, and so an input word, holds
+    bundled = [_pres(name) for name in sorted(PRESENTATIONS)]
+    loops = 0
+    for pres in bundled + [draw_presentation(*key) for key in VALID]:
+        for s in pres.special:
+            star, direct, inverse = Letter("s", s), Letter("d", s), Letter("i", s)
+            assert pres.sign(direct) == pres.sign(inverse) == pres.sign(star) == pres.signs[star]
+            assert direct not in pres.signs and inverse not in pres.signs
+            loops += 1
+    assert loops > len(VALID)
+
+
+# -- the half-walks of a canonical walk ----------------------------------------
+
+
+_WALKS = {}
+
+
+def _canonical_walks(source):
+    """The canonical walk of every candidate with d <= 6 of a bundled
+    presentation (by name) or a generated one (by key)."""
+    if source not in _WALKS:
+        pres = _pres(source) if isinstance(source, str) else draw_presentation(*source)
+        _WALKS[source] = pres, [canonical_walk(pres, d.word) for d in candidate_descriptors(pres, 6)]
+    return _WALKS[source]
+
+
+@given(
+    st.sampled_from(sorted(PRESENTATIONS) + VALID),
+    st.integers(0, 2**32 - 1),
+    st.integers(-1, 2**32 - 1),
+)
+def test_half_walks_of_canonical_walks_follow_the_definition(source, pick, cut):
+    # a canonical walk of a bundled or a generated presentation, cut at a
+    # point of its window; a finite walk has no halves at i = -1
+    pres, walks = _canonical_walks(source)
+    walk = walks[pick % len(walks)]
+    if cut < 0 and walk.shape == "finite":
+        for half in (suffix, prefix_inverse):
+            with pytest.raises(IndexError):
+                half(pres, walk, cut)
+        return
+    window = _window(walk)
+    _check_halves(pres, walk, window[cut % len(window)])
 
 
 # -- the orientation of a special loop in a walk --------------------------------

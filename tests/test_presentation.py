@@ -201,7 +201,7 @@ def test_basis_linear_independence_witness(E1, GP2, A4):
 def _canonical_two_sided_walk(pres, ell, depth):
     """The walk D^-1 E of inverse-letter extensions, trimmed to star ends."""
     from clannish import words
-    from clannish.walks import Walk, finite_walk
+    from clannish.walks import finite_walk
 
     def grow(eps):
         seq = []
@@ -239,7 +239,7 @@ def _canonical_two_sided_walk(pres, ell, depth):
     if letters:
         walk = finite_walk(pres, letters)
     else:
-        walk = Walk("finite", ell, 1, ())
+        walk = words.Word("finite", ell, 1, ())
     return walk, len(d_letters)
 
 

@@ -21,7 +21,8 @@ from clannish.linalg import Matrix, Subspace
 from clannish.presentation import Letter
 from clannish.relations import SemilinearRelation, arrow_relation, walk_letter_relation
 from clannish.reps import Representation
-from clannish.walks import rw_descriptor, walk_prefix_inverse, walk_star, walk_suffix, walk_vertex
+from clannish.walks import rw_descriptor
+from clannish.words import prefix_inverse, suffix, vertex_at
 
 # -- the direct algorithm ------------------------------------------------------
 
@@ -34,10 +35,9 @@ def _apply_letters(rep, letters, space):
 
 def _start_spaces(rep, walk):
     pres, p = rep.pres, rep.field.p
-    word = walk_star(pres, walk)
     n = len(walk.letters)
-    v = walk_vertex(pres, walk, n)
-    need = -pres.sign(word.letter_at(n).inverse()) if n else word.eps
+    v = vertex_at(pres, walk, n)
+    need = -pres.sign(walk.letter_at(n).inverse()) if n else walk.eps
     plus = Subspace.full(p, rep.prime_dim(v))
     minus = Subspace.zero(p, rep.prime_dim(v))
     for name in pres.ordinary_arrows():
@@ -102,7 +102,7 @@ def _walks(pres, desc):
     """The two walks whose filtrations f_dim intersects."""
     spec = rw_descriptor(pres, desc)
     i = min(spec.Jw)
-    return walk_suffix(pres, spec.walk, i), walk_prefix_inverse(pres, spec.walk, i)
+    return suffix(pres, spec.walk, i), prefix_inverse(pres, spec.walk, i)
 
 
 @pytest.mark.parametrize("name", PRESENTATIONS)

@@ -1,6 +1,7 @@
 import pytest
 
 from clannish.errors import InvalidParameterMatrix, NotEndAdmissible, PreconditionViolated
+from clannish.filtration import candidate_descriptors
 from clannish.linalg import Matrix
 from clannish.presentation import Letter
 from clannish.skewquad import classify_quadratic
@@ -9,7 +10,6 @@ from clannish.walks import (
     ASYM_STRING,
     SYM_BAND,
     SYM_STRING,
-    Walk,
     build_module,
     canonical_walk,
     finite_walk,
@@ -28,6 +28,7 @@ from clannish.walks import (
 from clannish.words import (
     BandDescriptor,
     StringDescriptor,
+    Word,
     finite_word,
     periodic_word,
 )
@@ -61,8 +62,20 @@ def test_a_walk_takes_no_star_letter(E1, A4):
             finite_walk(pres, letters)
 
 
+def test_a_star_free_word_is_its_own_canonical_walk(E1, GP2, A4, DIEU):
+    # a walk is a word, and only a star letter needs orienting
+    star_free = 0
+    for pres in (E1, GP2, A4, DIEU):
+        for desc in candidate_descriptors(pres, 6):
+            w = desc.word
+            if not any(l.is_star for l in w.letters + w.period):
+                assert canonical_walk(pres, w) == w
+                star_free += 1
+    assert star_free > 100
+
+
 def test_trivial_walk_quiver(E1):
-    q = quiver_of_walk(E1, Walk("finite", "1", 1, ()))
+    q = quiver_of_walk(E1, Word("finite", "1", 1, ()))
     assert q.vertices == (0,) and q.arrows == ()
 
 

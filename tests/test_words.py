@@ -238,7 +238,7 @@ def test_enumerate_bands_examples(E1):
     assert len(sym[0].word.period) == 4
     form = symmetric_decomposition(E1, sym[0])
     assert (form.p, form.r) == (0, 1)
-    assert form.u.length() == 0
+    assert form.u.letters == ()
     assert form.v.letters == (A,)
     assert form.s == form.t == "s"
 
