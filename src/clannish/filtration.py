@@ -25,19 +25,36 @@ def _extension_arrows(pres, v, need):
     return plus, minus
 
 
+def _image(rep, letter, sub):
+    """R(letter)(sub), memoised per module by (letter, subspace).
+
+    Many suffixes reach the same subspace, so the suffix memo alone takes
+    the same image again.  The key holds the walk letter's kind as well as
+    its name, since R(s) and R(s^-1) differ, and the canonical ``Subspace``,
+    which compares on its reduced basis.
+    """
+    cache = rep._filtration_cache
+    key = ("I", letter, sub)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = walk_letter_relation(rep, letter).image(sub)
+    return hit
+
+
 def _finite_start(rep, v, need):
     """(D^+, D^-) of the trivial walk at v with sign need: a^-1(0) = ker a
-    and b(full) = im b, or full and 0 where no letter extends it."""
+    and b(full) = im b, or full and 0 where no letter extends it.  Both
+    images go through the (letter, subspace) memo ``_image``."""
     pres, p = rep.pres, rep.field.p
     plus_letter, minus_letter = _extension_arrows(pres, v, need)
     if plus_letter is not None:
         zero = Subspace.zero(p, rep.prime_dim(pres.tail(plus_letter)))
-        plus = walk_letter_relation(rep, plus_letter).image(zero)
+        plus = _image(rep, plus_letter, zero)
     else:
         plus = Subspace.full(p, rep.prime_dim(v))
     if minus_letter is not None:
         full = Subspace.full(p, rep.prime_dim(pres.tail(minus_letter)))
-        minus = walk_letter_relation(rep, minus_letter).image(full)
+        minus = _image(rep, minus_letter, full)
     else:
         minus = Subspace.zero(p, rep.prime_dim(v))
     return plus, minus
@@ -63,16 +80,17 @@ def _suffix_plus_minus(rep, letters, end):
     ``end`` names what follows the letters: ("finite", v, need) for the
     trivial walk at v, ("right", period) for the periodic tail, or
     ("span", v) for the pair (full, 0) at v, from which the letters of a
-    period R = R(l1...ln) carry the bound (R(full), R(0)).
+    period R = R(l1...ln) carry the bound (R(full), R(0)).  Under this memo
+    each image l1(U) is memoised by (l1, U) (``_image``), so suffixes that
+    reach the same subspace share it.
     """
     cache = rep._filtration_cache
     key = ("D", letters, end)
     hit = cache.get(key)
     if hit is None:
         if letters:
-            rel = walk_letter_relation(rep, letters[0])
             plus, minus = _suffix_plus_minus(rep, letters[1:], end)
-            hit = (rel.image(plus), rel.image(minus))
+            hit = (_image(rep, letters[0], plus), _image(rep, letters[0], minus))
         elif end[0] == "finite":
             hit = _finite_start(rep, end[1], end[2])
         elif end[0] == "span":

@@ -609,15 +609,20 @@ def expand_vector(field, kvec):
 def prime_matrix(field, sigma, kmatrix):
     """Packed F_p matrix (row convention) of the semilinear map
     v -> sigma(v) @ kmatrix.  Block (i, j) is Frobenius then multiplication
-    by entry (i, j); the blocks of a row band fill disjoint slots."""
+    by entry (i, j); the blocks of a row band fill disjoint slots.  Each
+    distinct entry's block is built once per call: a matrix over GF(p^n)
+    has at most p^n - 1 distinct nonzero entries."""
     n, p = field.n, field.p
     fm = frob_matrix(field, sigma.k)
     shift = slot_bits(p) * n
     out = [0] * (kmatrix.nrows * n)
+    blocks = {}
     for i, krow in enumerate(kmatrix.rows):
         for j, entry in enumerate(krow):
             if entry:
-                block = mat_mul(fm, mult_matrix(field, entry), p)
+                block = blocks.get(entry.coeffs)
+                if block is None:
+                    block = blocks[entry.coeffs] = mat_mul(fm, mult_matrix(field, entry), p)
                 for a, brow in enumerate(block):
                     out[i * n + a] |= brow << (shift * j)
     return out

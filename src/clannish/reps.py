@@ -36,7 +36,7 @@ class Representation:
         self.labels = labels
         self._prime_cache = {}  # arrow -> packed prime matrix
         self._relation_cache = {}  # relations.arrow_relation
-        self._filtration_cache = {}  # filtration: D^+, D^- and period composites by walk suffix
+        self._filtration_cache = {}  # filtration: by walk suffix, and images by (letter, subspace)
 
     @property
     def field(self):

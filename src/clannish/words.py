@@ -87,7 +87,7 @@ def periodic_word(pres, block, check=True):
 
 def vertex_at(pres, w, i):
     """v_i(w)."""
-    if i == 0 or (w.shape == "finite" and not w.letters):
+    if i == 0:
         return w.v0
     if i > 0 or w.shape in ("zper", "ztwo"):
         letter = w.letter_at(i)

@@ -34,7 +34,7 @@ from clannish.reps import Representation
 from clannish.walks import canonical_walk, finite_walk
 from clannish.words import prefix_inverse, suffix, word_key
 from test_gap_pruning import _check_halves, _pres, _pruned, _window, reference_multiplicities
-from test_suffix_memo import PRESENTATIONS
+from test_suffix_memo import PRESENTATIONS, _beta_presentation
 from test_properties import _random_conjugate
 
 FIELDS = ((2, 2), (2, 3), (3, 1), (3, 2), (5, 1))
@@ -182,13 +182,6 @@ def test_half_walks_of_canonical_walks_follow_the_definition(source, pick, cut):
 
 
 # -- the orientation of a special loop in a walk --------------------------------
-
-
-def _beta_presentation():
-    """One vertex over GF(4): a twisted by Frobenius with aa = 0, s untwisted
-    with (beta, gamma) = (1, 1), so that s^-1 = s - beta differs from s."""
-    arrows = [ArrowInfo("a", "1", "1", 1), ArrowInfo("s", "1", "1", 0)]
-    return validate(make_field(2, 2), ("1",), arrows, {"s": (1, 1)}, [("a", "a")])
 
 
 def test_a_walk_reads_s_and_s_inverse_through_their_own_relations():

@@ -1,6 +1,6 @@
-"""The per-module suffix memo of the walk filtrations, and the reduced bases
-that relation images and composites are built from, checked against the
-direct algorithms they replace.
+"""The per-module memo of the walk filtrations, by suffix and by (letter,
+subspace), and the reduced bases that relation images and composites are
+built from, checked against the direct algorithms they replace.
 
 The reference below rebuilds D^+ and D^- of a walk from scratch: start
 spaces at the walk's end, then the letter relations applied right to left;
@@ -9,16 +9,17 @@ composed one letter at a time.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clannish import examples, homalg
+from clannish import examples, filtration, homalg
 from clannish.fields import Aut, make_field
-from clannish.filtration import candidate_descriptors, walk_plus_minus
+from clannish.filtration import candidate_descriptors, multiplicities, walk_plus_minus
 from clannish.linalg import Matrix, Subspace
-from clannish.presentation import Letter
+from clannish.presentation import ArrowInfo, Letter, validate
 from clannish.relations import SemilinearRelation, arrow_relation, walk_letter_relation
 from clannish.reps import Representation
 from clannish.walks import rw_descriptor
@@ -73,6 +74,18 @@ PRESENTATIONS = {
 }
 
 
+def _beta_presentation():
+    """One vertex over GF(4): a twisted by Frobenius with aa = 0, s untwisted
+    with (beta, gamma) = (1, 1), so that s^-1 = s - beta differs from s."""
+    arrows = [ArrowInfo("a", "1", "1", 1), ArrowInfo("s", "1", "1", 0)]
+    return validate(make_field(2, 2), ("1",), arrows, {"s": (1, 1)}, [("a", "a")])
+
+
+# every bundled special loop has beta = 0; this one has beta != 0, so that
+# s read directly and s read inversely carry different filtrations
+MEMO_PRESENTATIONS = {**PRESENTATIONS, "GF(4)/beta": (_beta_presentation, ())}
+
+
 def _conjugated_sum(pres, rng, kdim):
     """A random direct sum of catalog modules of K-dimension kdim, under a
     random base change at every vertex."""
@@ -105,9 +118,9 @@ def _walks(pres, desc):
     return suffix(pres, spec.walk, i), prefix_inverse(pres, spec.walk, i)
 
 
-@pytest.mark.parametrize("name", PRESENTATIONS)
+@pytest.mark.parametrize("name", MEMO_PRESENTATIONS)
 def test_memoised_filtrations_match_the_direct_algorithm(name):
-    make, args = PRESENTATIONS[name]
+    make, args = MEMO_PRESENTATIONS[name]
     pres = make(*args)
     rng = random.Random(f"suffix-memo/{name}")
     rep = _conjugated_sum(pres, rng, 6)
@@ -118,6 +131,48 @@ def test_memoised_filtrations_match_the_direct_algorithm(name):
         got = {i: walk_plus_minus(fresh, walks[i]) for i in range(len(walks))[::order]}
         assert [got[i] for i in range(len(walks))] == expected, (name, order)
         assert fresh._filtration_cache
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_no_image_is_computed_twice_per_module(name, monkeypatch):
+    make, args = PRESENTATIONS[name]
+    pres = make(*args)
+    rep = _conjugated_sum(pres, random.Random(f"image-memo/{name}"), 6)
+    image, taken = SemilinearRelation.image, []
+
+    def recording_image(rel, sub):
+        if sys._getframe(1).f_code is filtration._image.__code__:
+            taken.append((id(rel), sub))
+        return image(rel, sub)
+
+    monkeypatch.setattr(SemilinearRelation, "image", recording_image)
+    report = multiplicities(rep)
+    monkeypatch.undo()
+    assert report.complete
+    assert taken and len(set(taken)) == len(taken), name
+    entries = [(key[1:], hit) for key, hit in rep._filtration_cache.items() if key[0] == "I"]
+    assert len(entries) == len(taken)
+    for (letter, sub), hit in entries:
+        assert hit == walk_letter_relation(rep, letter).image(sub), (name, letter)
+
+
+@pytest.mark.parametrize("name", MEMO_PRESENTATIONS)
+def test_the_image_memo_tells_apart_what_the_relation_tells_apart(name):
+    """Lines that share their pivot, and the direct and inverse letters of
+    one arrow, all go through one module's memo: each gets its own image."""
+    make, args = MEMO_PRESENTATIONS[name]
+    pres = make(*args)
+    rep = _conjugated_sum(pres, random.Random(f"image-keys/{name}"), 6)
+    p, told_apart = rep.field.p, 0
+    for arrow in pres.arrows:
+        for letter in (Letter("d", arrow), Letter("i", arrow)):
+            rel = walk_letter_relation(rep, letter)
+            d = rel.src * rep.field.n
+            lines = [Subspace(p, d, [[1, c] + [0] * (d - 2)]) for c in range(p)] if d > 1 else []
+            images = [filtration._image(rep, letter, line) for line in lines]
+            assert images == [rel.image(line) for line in lines], (name, letter)
+            told_apart += len(set(images)) > 1
+    assert told_apart
 
 
 def test_modules_are_read_only(E1):

@@ -60,6 +60,16 @@ def test_word_validation(E1):
     assert vertex_at(E1, w, 2) == "1"
 
 
+@pytest.mark.parametrize("length", [0, 2])
+def test_vertex_at_raises_past_the_end_of_every_finite_word(GP2, length):
+    w = trivial_word(GP2, "1", 1) if length == 0 else enumerate_strings(GP2, 2)[-1].word
+    assert len(w.letters) == length
+    assert vertex_at(GP2, w, 0) == w.v0
+    for i in (length + 1, 5, -1, -3):
+        with pytest.raises(IndexError):
+            vertex_at(GP2, w, i)
+
+
 def test_invert_examples(E1):
     w = finite_word(E1, "1", 1, [S, A, S])
     wi = invert_word(E1, w)
