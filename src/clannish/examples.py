@@ -84,10 +84,6 @@ BUNDLED = {
 }
 
 
-def bundled(name, *args, **kwargs):
-    return BUNDLED[name.upper()](*args, **kwargs)
-
-
 def module_catalog(pres, max_string_len=4, max_band_period=4, max_param_dim=2):
     """Bundled (descriptor, module) samples with indecomposable parameters.
 

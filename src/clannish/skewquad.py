@@ -3,8 +3,10 @@
 Covers normality/centrality tests, the four-way semisimplicity
 classification with explicit matrix models for the simple modules of the
 quotient ring, inversion of x in the quotient, conjugation by a field
-automorphism, and the matrix unit equation used when splitting band
-functors.
+automorphism, and a solver for the matrix unit equation of band functors.
+Whether a matrix models the x-action is tested on K-entries
+(``is_root_matrix``, for parameter matrices) or on the packed prime matrix
+of X (``is_root_prime``, which module loading runs).
 """
 
 from __future__ import annotations

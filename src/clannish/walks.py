@@ -467,38 +467,18 @@ def build_module(pres, desc_or_spec, module=None, dim=1, lam=None, phi=None):
 
 
 def walk_module(pres, walk):
-    """M(C) itself for a finite walk with end-admissible word, basis b_0..b_n.
+    """M(C) itself for a finite walk with end-admissible word, basis b_0..b_n:
+    ``build_module`` on the walk's asymmetric string spec, parameter K.
 
     The zero relations are NOT imposed; they vanish automatically exactly
     when the word is relation-admissible.
     """
-    from .reps import Representation
-
-    field = pres.field
     word = walk_star(pres, walk)
     if not words_mod.is_end_admissible(pres, word):
         raise NotEndAdmissible("walk module needs an end-admissible word")
     n = len(walk.letters)
-    basis = {v: [] for v in pres.vertices}
-    for i in range(n + 1):
-        basis[words_mod.vertex_at(pres, walk, i)].append(i)
-    index = {v: {i: pos for pos, i in enumerate(lst)} for v, lst in basis.items()}
-    dims = {v: len(lst) for v, lst in basis.items()}
-    mats = {}
-    for arrow in pres.arrow_names:
-        info = pres.arrows[arrow]
-        rows = [[field.zero() for _ in range(dims[info.target])] for _ in range(dims[info.source])]
-        for i in range(n + 1):
-            if words_mod.vertex_at(pres, walk, i) != info.source:
-                continue
-            for coeff, h in _walk_rules(pres, walk, i, arrow):
-                val = field.one() if coeff is None else coeff
-                rows[index[info.source][i]][index[info.target][h]] = (
-                    rows[index[info.source][i]][index[info.target][h]] + val
-                )
-        mats[arrow] = Matrix(field, rows, dims[info.source], dims[info.target])
-    labels = {v: [(i, 0) for i in lst] for v, lst in basis.items()}
-    return Representation(pres, dims, mats, labels=labels)
+    pi = pi_automorphisms(pres, walk)
+    return build_module(pres, RwSpec(ASYM_STRING, word, walk, tuple(range(n + 1)), pi, n=n), dim=1)
 
 
 def _irreducible_polys_over(field, max_deg):

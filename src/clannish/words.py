@@ -561,10 +561,6 @@ def band_shape(block):
     )
 
 
-def canonical_band_block(block):
-    return band_shape(block).canonical
-
-
 def descriptor_of(pres, word):
     """The string or band descriptor of a word as given, not canonicalised."""
     if word.shape == "zper":

@@ -419,21 +419,34 @@ def test_param_file_dim_builds_that_many_copies(tmp_path, capsys):
     assert code == 0 and out["dims"] == {"1": 2 * one["dims"]["1"]}
 
 
-def test_bad_seed_is_invalid_input(tmp_path, capsys, monkeypatch):
+def test_the_seed_is_a_constant_that_no_environment_variable_sets(tmp_path, capsys, monkeypatch):
     from clannish import homalg
-    from clannish.errors import InvalidInput
 
     module = tmp_path / "m.json"
     module.write_text(json.dumps(_e1_module()))
     monkeypatch.setenv("CLANNISH_SEED", "abc")
-    with pytest.raises(InvalidInput, match="CLANNISH_SEED"):
-        homalg._seed()
     code, out = _main(capsys, "oracle-check", module)
-    assert code == 1 and out["error"]["type"] == "InvalidInput"
-    assert "CLANNISH_SEED" in out["error"]["detail"]
-    monkeypatch.setenv("CLANNISH_SEED", "7")
-    code, out = _main(capsys, "oracle-check", module)
-    assert code == 0 and out["seed"] == 7
+    assert code == 0 and out["seed"] == homalg.SEED == 987654321
+
+
+def test_running_out_of_memory_is_too_large(tmp_path, capsys):
+    # GP2 at K-dimension 26 enumerates some 665,000 descriptors, more than
+    # fit in 256 MB of address space: the child still prints one error line
+    resource = pytest.importorskip("resource")
+    param, module = tmp_path / "param.json", tmp_path / "m.json"
+    param.write_text(json.dumps({"dim": 13}))
+    code, out = _main(capsys, "build", "example:GP2", "--word", "x", "--param", param, "-o", module)
+    assert code == 0 and out["dim"] == 26
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        CLI + ["decompose", str(module)], capture_output=True, text=True, timeout=60, preexec_fn=cap
+    )
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1 and len(lines) == 1, proc.stdout + proc.stderr
+    assert json.loads(lines[0])["error"]["type"] == "TooLarge"
 
 
 class _Writes(io.StringIO):
@@ -533,12 +546,11 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN.items(), ids=[a[0] for a in GOLDEN])
-def test_output_matches_its_golden_digest(tmp_path, capsys, monkeypatch, argv, digest):
+def test_output_matches_its_golden_digest(tmp_path, capsys, argv, digest):
     import hashlib
 
     from clannish import cli
 
-    monkeypatch.delenv("CLANNISH_SEED", raising=False)
     module = tmp_path / "m.json"
     module.write_text(json.dumps(_e1_module()))
     assert cli.main([a.format(module=module) for a in argv]) == 0

@@ -54,6 +54,28 @@ def test_inverse_and_pow():
             assert x ** 4 == f.one()
 
 
+@pytest.mark.parametrize("p, n", [(2, 17), (257, 2)])
+def test_arithmetic_above_the_table_limit(p, n):
+    # past 2**16 elements there are no log or Frobenius tables: products,
+    # inverses and Frobenius images are polynomial arithmetic mod the modulus
+    import random
+
+    f = make_field(p, n)
+    assert f.q > 1 << 16
+    rng = random.Random(f.q)
+    fr = f.frobenius(1)
+    for _ in range(20):
+        a, b = f.el(rng.randrange(1, f.q)), f.el(rng.randrange(f.q))
+        assert a * a.inverse() == f.one()
+        assert fr(a * b) == fr(a) * fr(b)
+        assert fr(a) == a ** p
+        assert f.frobenius(n - 1)(fr(a)) == a
+        image = a
+        for _ in range(n):
+            image = fr(image)
+        assert image == a
+
+
 def test_aut_group_laws():
     f = make_field(2, 3)
     a, b = f.frobenius(1), f.frobenius(2)

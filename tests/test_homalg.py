@@ -11,12 +11,13 @@ from clannish.homalg import (
     EndAlgebra,
     _find_splitting_idempotent,
     _idempotent_exhaustive,
+    _one_irreducible_factor,
     _quotient_is_field,
+    _splitting_idempotent_from,
     are_isomorphic,
     brute_decompose,
     charpoly,
     direct_sum,
-    factor_poly,
     hom_space,
     is_indecomposable,
     min_poly,
@@ -24,6 +25,8 @@ from clannish.homalg import (
 )
 from clannish.linalg import (
     Matrix,
+    _unpack,
+    join_rows,
     k_matrix,
     mat_identity,
     mat_is_zero,
@@ -82,19 +85,16 @@ def test_min_poly_examples():
     assert min_poly(pack_matrix([[0, 1], [1, 1]], 2), 2) == [1, 1, 1]
 
 
-def test_factor_poly():
+def test_one_irreducible_factor():
     rng = random.Random(5)
     # x^2 (x+1) over GF(2)
-    facs = factor_poly([0, 0, 1, 1], 2, rng)
-    assert sorted((tuple(g), m) for g, m in facs) == [((0, 1), 2), ((1, 1), 1)]
+    assert _one_irreducible_factor([0, 0, 1, 1], 2, rng) in {(0, 1), (1, 1)}
     # x(x-1)(x-2) over GF(3)
-    facs = factor_poly([0, 2, 0, 1], 3, rng)
-    assert len(facs) == 3 and all(m == 1 for _, m in facs)
+    assert _one_irreducible_factor([0, 2, 0, 1], 3, rng) in {(0, 1), (1, 1), (2, 1)}
     # irreducible x^2+x+1 over GF(2)
-    assert factor_poly([1, 1, 1], 2, rng) == [([1, 1, 1], 1)]
+    assert _one_irreducible_factor([1, 1, 1], 2, rng) == (1, 1, 1)
     # square of an irreducible: (x^2+x+1)^2 = x^4+x^2+1 over GF(2)
-    facs = factor_poly([1, 0, 1, 0, 1], 2, rng)
-    assert facs == [([1, 1, 1], 2)]
+    assert _one_irreducible_factor([1, 0, 1, 0, 1], 2, rng) == (1, 1, 1)
 
 
 def _pool(pres, **kw):
@@ -198,13 +198,42 @@ def test_radical_is_nilpotent_ideal(GP2):
     for _, _, rep in _pool(GP2, max_string_len=3, max_band_period=2)[:4]:
         alg = EndAlgebra(rep)
         rad = radical_basis(alg)
-        mats = [alg.element(b) for b in rad]
+        mats = [alg.element(_unpack(b, alg.p, alg.dim)) for b in rad]
         # nilpotency: products of length amb vanish
         for m in mats:
             acc = m
             for _ in range(alg.amb):
                 acc = mat_mul(acc, m, alg.p)
             assert mat_is_zero(acc)
+
+
+def _matrix_algebra_f2():
+    """End = M_2(F_2) on F_2^2, with basis I, N12, N21 and C = [[0,1],[1,1]].
+    Each of them is a unit or nilpotent, and C^2 - C = I: on this basis the
+    Frobenius fixed space reads one-dimensional, as for a field, and only
+    the commutators tell that End/rad is not one."""
+    alg = EndAlgebra.__new__(EndAlgebra)
+    alg.p, alg.amb = 2, 2
+    basis = ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [1, 1]])
+    alg.flats = [join_rows(pack_matrix(m, 2), 2, 2) for m in basis]
+    alg.dim = len(alg.flats)
+    return alg
+
+
+def test_the_locality_test_needs_the_commutators(monkeypatch):
+    alg = _matrix_algebra_f2()
+    assert radical_basis(alg) == []
+    assert _quotient_is_field(alg, []) is False
+    units = [[int(j == i) for j in range(alg.dim)] for i in range(alg.dim)]
+    assert all(_splitting_idempotent_from(alg, u, random.Random(0)) is None for u in units)
+
+    def nontrivial_idempotent(e):
+        return not mat_is_zero(e) and e != mat_identity(2, 2) and mat_mul(e, e, 2) == e
+
+    # the random elements find one; with no element split, the exhaustive scan
+    assert nontrivial_idempotent(_find_splitting_idempotent(alg))
+    monkeypatch.setattr(homalg, "_splitting_idempotent_from", lambda alg, coeffs, rng: None)
+    assert nontrivial_idempotent(_find_splitting_idempotent(alg))
 
 
 def test_brute_decompose_examples(E1):

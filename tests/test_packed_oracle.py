@@ -5,7 +5,7 @@ against the dense list code they replaced.
 ``_reference_min_poly`` and ``_reference_radical_basis`` are the former
 ``homalg`` routines on lists of lists, kept here as the slow path; the
 radical reference takes a characteristic polynomial of every product at
-every level.  The primes cover bits (2), byte slots (3 to 13) and wider
+every level, and packs its coordinate rows only at the end.  The primes cover bits (2), byte slots (3 to 13) and wider
 slots (257).
 """
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clannish.examples import frobenius_pair, gelfand_ponomarev, module_catalog, one_loop_pair
-from clannish.homalg import EndAlgebra, _combine, charpoly, direct_sum, min_poly, radical_basis
+from clannish.homalg import EndAlgebra, charpoly, direct_sum, min_poly, radical_basis
 from clannish.linalg import (
     Matrix,
     _unpack,
@@ -93,6 +93,14 @@ def _dense_element(alg, coeffs):
     return out
 
 
+def _combine(basis, coeffs, p):
+    out = [0] * len(basis[0]) if basis else []
+    for c, b in zip(coeffs, basis):
+        if c % p:
+            out = [(o + c * x) % p for o, x in zip(out, b)]
+    return out
+
+
 def _reference_radical_basis(alg):
     p = alg.p
     nn = alg.amb
@@ -112,7 +120,7 @@ def _reference_radical_basis(alg):
         basis = [_combine(basis, c, p) for c in null]
         basis = [b for b in basis if any(b)]
         power *= p
-    return basis
+    return pack_matrix(basis, p)
 
 
 # -- random matrices -----------------------------------------------------------

@@ -14,8 +14,8 @@ from clannish.words import (
     BandDescriptor,
     StringDescriptor,
     Word,
+    band_shape,
     band_symmetries,
-    canonical_band_block,
     canonical_string_word,
     classify_position,
     compare,
@@ -264,9 +264,9 @@ def test_enumeration_closed_under_equivalence(E1, GP2):
         for d in bands:
             for sh in range(len(d.word.period)):
                 rotated = shift_word(pres, d.word, sh)
-                assert tuple(l.key() for l in canonical_band_block(rotated.period)) in bkeys
+                assert tuple(l.key() for l in band_shape(rotated.period).canonical) in bkeys
                 inv = invert_word(pres, rotated)
-                assert tuple(l.key() for l in canonical_band_block(inv.period)) in bkeys
+                assert tuple(l.key() for l in band_shape(inv.period).canonical) in bkeys
 
 
 def test_band_symmetry_shift_relation(E1):
