@@ -1,5 +1,5 @@
 """Classification-independent ground truth: Hom spaces, endomorphism rings,
-indecomposability and isomorphism tests, and brute-force decomposition.
+indecomposability, isomorphism of indecomposables, brute-force decomposition.
 
 Everything is exact linear algebra over the prime subfield.  A morphism is
 one packed prime matrix per vertex (one int per row in the ``linalg``
@@ -615,46 +615,3 @@ def _indec_isomorphic(m1, m2):
             if not all(_is_nilpotent(mat_mul(f[v], g[v], p), p) for v in f):
                 return True
     return False
-
-
-def are_isomorphic(m1, m2):
-    """Isomorphism test: 64 random morphisms searched for an invertible one,
-    then matched decompositions."""
-    if m1.pres is not m2.pres or m1.dims != m2.dims:
-        return False
-    if m1.dim() == 0:
-        return True
-    h12 = hom_space(m1, m2)
-    if h12.dim == 0:
-        return False
-    rng = random.Random(SEED)
-    p = m1.field.p
-    for _ in range(64):
-        coeffs = [rng.randrange(p) for _ in range(h12.dim)]
-        if not any(coeffs):
-            continue
-        phi = _combine_morphisms(h12, coeffs, p)
-        if all(len(_rref_ints(mat, p)) == len(mat) for mat in phi.values()):
-            return True
-    # above BRUTE_LIMIT brute_decompose raises TooLarge rather than guess
-    return _match_summands(brute_decompose(m1), brute_decompose(m2))
-
-
-def _combine_morphisms(hs, coeffs, p):
-    """sum(c * basis morphism), row by row of each vertex's prime matrix."""
-    return {
-        v: [combine(coeffs, rows, p) for rows in zip(*(b[v] for b in hs.basis))]
-        for v in hs.source.dims
-    }
-
-
-def _match_summands(parts1, parts2):
-    if len(parts1) != len(parts2):
-        return False
-    remaining = list(parts2)
-    for a in parts1:
-        hit = next((i for i, b in enumerate(remaining) if _indec_isomorphic(a, b)), None)
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True

@@ -5,7 +5,9 @@ loops bound by monic quadratics, and zero relations.  Validation checks the
 degree axioms, the quadratic hypotheses (normal, non-singular, semisimple)
 and computes a sign for every letter.  Paths are written in function
 composition order: in a path ``a b``, the arrow ``b`` is applied first, so
-``a b`` is composable when tail(a) == head(b).
+``a b`` is composable when tail(a) == head(b).  The algebra enters only
+through its basis of admissible paths (``algebra_dimension`` and the CLI's
+``basis``); no product of two of its elements is formed here.
 """
 
 from __future__ import annotations
@@ -141,20 +143,6 @@ class Presentation:
             if self.arrows[x].source != self.arrows[y].target:
                 raise NonComposablePath(f"{x}{y} is not a path")
         return self.arrows[names[-1]].source, self.arrows[names[0]].target
-
-    def path_sigma(self, names):
-        aut = Aut(self.field, 0)
-        for a in names:
-            aut = aut * self.sigma(a)
-        return aut
-
-    def contains_zero_relation(self, names):
-        for r in self.zero_relations:
-            k = len(r)
-            for i in range(len(names) - k + 1):
-                if tuple(names[i : i + k]) == r:
-                    return True
-        return False
 
     # -- misc -----------------------------------------------------------------
 
@@ -308,150 +296,6 @@ def validate(field, vertices, arrows, special, zero_relations):
 
     signs = assign_signs(field, arrows, special_q, relations)
     return Presentation(field, vertices, arrows, special_q, relations, signs)
-
-
-# ---------------------------------------------------------------------------
-# the algebra itself: formal K-combinations of paths in normal form
-
-
-class AlgebraElement:
-    """A K-linear combination of admissible paths, kept in normal form.
-
-    Paths are stored as (vertex, names) with vertex only significant for the
-    trivial path.  Multiplication moves scalars across arrows with the
-    per-arrow automorphisms, kills zero relations and rewrites repeated
-    special loops with their quadratics.
-    """
-
-    def __init__(self, pres, terms=None, _reduced=False):
-        self.pres = pres
-        raw = dict(terms or {})
-        self.terms = raw if _reduced else _reduce_terms(pres, raw)
-
-    @classmethod
-    def path(cls, pres, names, coeff=1, vertex=None):
-        names = tuple(names)
-        source, target = pres.path_endpoints(names, vertex)
-        key = (source if not names else None, names)
-        return cls(pres, {key: pres.field.el(coeff)})
-
-    @classmethod
-    def zero(cls, pres):
-        return cls(pres, {}, _reduced=True)
-
-    @classmethod
-    def unit(cls, pres):
-        return cls(
-            pres,
-            {(v, ()): pres.field.one() for v in pres.vertices},
-            _reduced=True,
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            s = c if acc is None else acc + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return AlgebraElement(self.pres, out, _reduced=True)
-
-    def __neg__(self):
-        return AlgebraElement(
-            self.pres, {k: -c for k, c in self.terms.items()}, _reduced=True
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, lam):
-        lam = self.pres.field.el(lam)
-        if not lam:
-            return AlgebraElement.zero(self.pres)
-        return AlgebraElement(
-            self.pres, {k: lam * c for k, c in self.terms.items()}, _reduced=True
-        )
-
-    def __mul__(self, other):
-        pres = self.pres
-        out = {}
-        for (v1, p), c1 in self.terms.items():
-            p_src = pres.path_endpoints(p, v1)[0]
-            sig = pres.path_sigma(p)
-            for (v2, q), c2 in other.terms.items():
-                q_tgt = pres.path_endpoints(q, v2)[1]
-                if p_src != q_tgt:
-                    continue
-                names = p + q
-                key = ((v1 if not names else None), names)
-                c = c1 * sig(c2)
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return AlgebraElement(pres, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.pres is other.pres
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (v, names), c in sorted(self.terms.items(), key=lambda kv: (len(kv[0][1]), kv[0])):
-            word = "*".join(names) if names else f"e_{v}"
-            bits.append(f"({c!r})[{word}]")
-        return " + ".join(bits)
-
-
-def _reduce_terms(pres, raw):
-    """Normal form of a raw path combination on the admissible-path basis."""
-    field = pres.field
-    pending = [((v, names), c) for (v, names), c in raw.items() if c]
-    out = {}
-    while pending:
-        (v, names), c = pending.pop()
-        if not c:
-            continue
-        if pres.contains_zero_relation(names):
-            continue
-        spot = next(
-            (
-                i
-                for i in range(len(names) - 1)
-                if names[i] == names[i + 1] and names[i] in pres.special
-            ),
-            None,
-        )
-        if spot is None:
-            key = ((v if not names else None), names)
-            acc = out.get(key)
-            s = c if acc is None else acc + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-            continue
-        # rewrite s*s inside u s s w as beta * (u s w) - gamma * (u w)
-        s = names[spot]
-        q = pres.special[s]
-        u, w = names[:spot], names[spot + 2 :]
-        sig_u = pres.path_sigma(u)
-        beta_c = c * sig_u(q.beta)
-        gamma_c = c * sig_u(q.gamma)
-        if beta_c:
-            pending.append(((v, u + (s,) + w), beta_c))
-        if gamma_c:
-            vtx = pres.arrows[s].source if not (u + w) else None
-            pending.append(((vtx, u + w), -gamma_c))
-    return out
 
 
 def enumerate_admissible_paths(pres, max_len):

@@ -73,10 +73,17 @@ def element_to_json(x):
 
 
 def element_from_json(field, data):
+    """An int (base-p digits) or a list of at most n coefficients, padded
+    with zeros; a longer list raises InvalidInput."""
     _check_kind(data, (int, list), "a field element")
     if isinstance(data, int):
         return field.el(data)
-    return field.el(_items(data, int, "a field element"))
+    coeffs = _items(data, int, "a field element")
+    if len(coeffs) > field.n:
+        raise InvalidInput(
+            f"an element of {field!r} has at most {field.n} coefficients, not {len(coeffs)}"
+        )
+    return field.el(coeffs)
 
 
 def field_to_json(field):

@@ -2,8 +2,7 @@
 
 Covers normality/centrality tests, the four-way semisimplicity
 classification with explicit matrix models for the simple modules of the
-quotient ring, inversion of x in the quotient, conjugation by a field
-automorphism, and a solver for the matrix unit equation of band functors.
+quotient ring, and conjugation by a field automorphism.
 Whether a matrix models the x-action is tested on K-entries
 (``is_root_matrix``, for parameter matrices) or on the packed prime matrix
 of X (``is_root_prime``, which module loading runs).
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import PreconditionViolated, SingularQuadratic
 from .fields import Aut, Field
 from .linalg import Matrix, mat_add, mat_mul, scalar_block_matrix
 
@@ -144,59 +142,7 @@ def classify_quadratic(q):
     return QuadraticReport(is_normal, is_central, is_nonsingular, case, chosen, simples)
 
 
-def quotient_inverse(q):
-    """Coefficients (c0, c1) with x^{-1} = c0 + c1*x in K[x;sigma]/(q)."""
-    if not q.gamma:
-        raise SingularQuadratic("x is not invertible when the constant term vanishes")
-    ginv = q.gamma.inverse()
-    return ginv * q.beta, -ginv
-
-
 def twist_quadratic(phi, q):
     """Conjugate by phi: x^2 - phi(beta)x + phi(gamma) in K[x; phi sigma phi^-1]."""
     sigma = phi * q.sigma * phi.inverse()
     return SkewQuadratic(q.field, sigma, phi(q.beta), phi(q.gamma))
-
-
-def inverse_quadratic(q):
-    """x^2 - gamma^{-1} beta x + gamma^{-1} in K[x; sigma^{-1}]."""
-    if not q.gamma:
-        raise SingularQuadratic("no inverse quadratic for a singular one")
-    ginv = q.gamma.inverse()
-    return SkewQuadratic(q.field, q.sigma.inverse(), ginv * q.beta, ginv)
-
-
-def solve_unit_equation(lam_matrix, q):
-    """A matrix X with lam_matrix @ X + sigma(X) @ (sigma(lam_matrix) - beta*I) = I.
-
-    Requires q normal, non-singular and semisimple, and lam_matrix a root of
-    the quadratic matrix identity.  The output is verified by substitution.
-    """
-    f = q.field
-    report = classify_quadratic(q)
-    if not (report.is_normal and report.is_nonsingular and report.is_semisimple):
-        raise PreconditionViolated("quadratic must be normal, non-singular and semisimple")
-    if not q.is_root_matrix(lam_matrix):
-        raise PreconditionViolated("matrix does not satisfy the quadratic identity")
-    m = lam_matrix.nrows
-    ident = Matrix.identity(f, m)
-    two = f.one() + f.one()
-    if f.p != 2:
-        alpha = q.beta * q.beta - two * two * q.gamma
-        ainv = alpha.inverse()
-        nu, zeta = two * ainv, q.beta * ainv
-        xi = q.sigma(lam_matrix).scale(nu) - ident.scale(zeta)
-    elif q.beta:
-        xi = ident.scale(q.beta.inverse())
-    else:
-        # char 2, beta 0: sigma has order 2 here, else q = (x + sqrt(gamma))^2
-        g = f.multiplicative_generator()
-        lam = g
-        while q.sigma(lam) == lam:
-            lam = lam * g
-        c = lam * (q.sigma(lam) + lam).inverse()
-        xi = lam_matrix.inverse().scale(c)
-    lhs = (lam_matrix @ xi) + q.sigma(xi) @ (q.sigma(lam_matrix) - ident.scale(q.beta))
-    if lhs != ident:
-        raise PreconditionViolated("unit equation solution failed verification")
-    return xi

@@ -175,17 +175,6 @@ def pi_automorphisms(pres, walk, lo=None, hi=None, sigma=None, one=None):
     return {i: pi[i] for i in range(lo, hi + 1)}
 
 
-def walk_sigma(pres, letters, sigma=None, one=None):
-    """sigma_C of a finite stretch of walk letters (function composition)."""
-    if sigma is None:
-        sigma = lambda name: pres.sigma(name)
-    acc = one if one is not None else Aut(pres.field, 0)
-    for letter in letters:
-        s = sigma(letter.name)
-        acc = acc * (s if letter.kind == "d" else s.inverse())
-    return acc
-
-
 # -- parameter ring descriptors -------------------------------------------------
 
 
@@ -412,8 +401,8 @@ def _walk_rules(pres, walk, i, arrow):
     raise NotEndAdmissible(f"no action rule for {arrow!r} at index {i}")
 
 
-def build_module(pres, desc_or_spec, module=None, dim=1, lam=None, phi=None):
-    """The representation M(C_w) (x) V for a parameter module V.
+def build_module(pres, spec, module):
+    """M(C_w) (x) V for the parameter module V = ``make_rw_module(spec, ...)``.
 
     Basis at each vertex: pairs (i, c) with i in J_w ascending and c a
     V-coordinate; every arrow matrix is assembled from the walk rules, with
@@ -421,9 +410,6 @@ def build_module(pres, desc_or_spec, module=None, dim=1, lam=None, phi=None):
     """
     from .reps import Representation
 
-    spec = desc_or_spec if isinstance(desc_or_spec, RwSpec) else rw_descriptor(pres, desc_or_spec)
-    if module is None:
-        module = make_rw_module(spec, dim=dim, lam=lam, phi=phi)
     field = pres.field
     m = module.dim
     act = _generator_actions(module)
@@ -464,21 +450,6 @@ def build_module(pres, desc_or_spec, module=None, dim=1, lam=None, phi=None):
         mats[arrow] = Matrix(field, rows, dims[info.source], dims[info.target])
     labels = {v: list(lst) for v, lst in basis.items()}
     return Representation(pres, dims, mats, labels=labels)
-
-
-def walk_module(pres, walk):
-    """M(C) itself for a finite walk with end-admissible word, basis b_0..b_n:
-    ``build_module`` on the walk's asymmetric string spec, parameter K.
-
-    The zero relations are NOT imposed; they vanish automatically exactly
-    when the word is relation-admissible.
-    """
-    word = walk_star(pres, walk)
-    if not words_mod.is_end_admissible(pres, word):
-        raise NotEndAdmissible("walk module needs an end-admissible word")
-    n = len(walk.letters)
-    pi = pi_automorphisms(pres, walk)
-    return build_module(pres, RwSpec(ASYM_STRING, word, walk, tuple(range(n + 1)), pi, n=n), dim=1)
 
 
 def _irreducible_polys_over(field, max_deg):

@@ -70,11 +70,8 @@ def trivial_word(pres, vertex, eps):
     return Word("finite", vertex, eps, ())
 
 
-def finite_word(pres, v0, eps, letters, check=True):
-    w = Word("finite", v0, eps, tuple(letters))
-    if check:
-        validate_word(pres, w)
-    return w
+def finite_word(pres, v0, eps, letters):
+    return validate_word(pres, Word("finite", v0, eps, tuple(letters)))
 
 
 def periodic_word(pres, block, check=True):
@@ -155,32 +152,6 @@ def invert_word(pres, w):
 def _band_inverse_block(block):
     m = len(block)
     return tuple(block[(-j - 2) % m].inverse() for j in range(m))
-
-
-def shift_word(pres, w, d):
-    if w.shape != "zper":
-        return w
-    m = len(w.period)
-    block = tuple(w.period[(d + j) % m] for j in range(m))
-    return Word("zper", pres.head(block[0]), pres.sign(block[0]), (), block)
-
-
-def concat_words(pres, u, w):
-    """u then w; valid when u^-1 and w share head and have opposite signs."""
-    if u.shape != "finite":
-        raise NonConcatenable("left factor must be finite")
-    ui = invert_word(pres, u)
-    if ui.v0 != w.v0 or ui.eps != -w.eps:
-        raise NonConcatenable("endpoint or sign mismatch")
-    if w.shape == "finite":
-        if not u.letters:
-            return w
-        return Word("finite", u.v0, u.eps, u.letters + w.letters)
-    if w.shape == "right":
-        if not u.letters:
-            return w
-        return Word("right", u.v0, u.eps, u.letters + w.letters, w.period)
-    raise NonConcatenable("cannot concatenate onto a two-sided word")
 
 
 def suffix(pres, w, i):
@@ -395,23 +366,6 @@ def classify_position(pres, w, i):
     return NATURALLY_DIRECT if c > 0 else NATURALLY_INVERSE
 
 
-def position_norm(pres, w, i):
-    """Length of the longest common prefix of (w_{<=i-1})^{-1} and w_{>i}.
-
-    None (infinite) when i is a symmetry.
-    """
-    letter = w.letter_at(i)
-    if letter is None or not letter.is_star:
-        raise NotStarLetter(f"position {i} does not hold a star letter")
-    left = prefix_inverse(pres, w, i - 1)
-    right = suffix(pres, w, i)
-    for j in range(1, _horizon(left, right) + 1):
-        x, y = left.letter_at(j), right.letter_at(j)
-        if x is None or y is None or x != y:
-            return j - 1
-    return None
-
-
 # -- strings and bands --------------------------------------------------------
 
 
@@ -436,11 +390,6 @@ class BandDescriptor(NamedTuple):
 def word_key(pres, w):
     letters = w.letters if w.shape == "finite" else w.period
     return (w.shape, len(letters), tuple(l.key() for l in letters), w.v0, 0 if w.eps == 1 else 1)
-
-
-def canonical_string_word(pres, w):
-    wi = invert_word(pres, w)
-    return min(w, wi, key=lambda x: word_key(pres, x))
 
 
 def _first_letters(pres, v0, eps):

@@ -39,6 +39,7 @@ from clannish.walks import (
     build_module,
     canonical_walk,
     finite_walk,
+    make_rw_module,
     pi_automorphisms,
     quiver_of_walk,
     rw_descriptor,
@@ -220,9 +221,9 @@ def test_criterion_4_band_descriptors_and_modules(presentations):
     assert tau_symbolic == SIG * THETA * SIG * THETA * SIG * THETA.inverse()
     assert spec.Jw == tuple(range(6))
     assert spec.tau.is_identity  # Frobenius exponent 3 + 1 = 0 mod 2
-    rep = build_module(E1, spec, lam=Matrix(f, [[1]]))
+    rep = build_module(E1, spec, make_rw_module(spec, lam=Matrix(f, [[1]])))
     assert rep.dim() == 6 * 1 and rep.check_relations()
-    rep2 = build_module(E1, spec, lam=Matrix(f, [[0, 1], [1, 1]]))
+    rep2 = build_module(E1, spec, make_rw_module(spec, lam=Matrix(f, [[0, 1], [1, 1]])))
     assert rep2.dim() == 6 * 2 and rep2.check_relations()
 
     # symmetric band with p = 1, r = 2
@@ -241,7 +242,7 @@ def test_criterion_4_band_descriptors_and_modules(presentations):
     assert specs.tau == f.frobenius(1) and specs.rho == f.frobenius(1)
     lam = classify_quadratic(specs.q_y).simple_modules[0]
     phi = classify_quadratic(specs.q_x).simple_modules[0]
-    repb = build_module(E1, specs, lam=lam, phi=phi)
+    repb = build_module(E1, specs, make_rw_module(specs, lam=lam, phi=phi))
     assert repb.dim() == 4 * 1 and repb.check_relations()
     print("criterion 4: PASS - band parameter rings and 6/4-dimensional modules verified")
 

@@ -185,6 +185,18 @@ def _a_squared_nonzero(module):
     ]
 
 
+def _one_entry_of_a_too_long(module):
+    """Write one nonzero entry of ``a`` with n + 1 coefficients."""
+    rows = module["arrows"]["a"]["matrix"]
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if any(x))
+    rows[i][j] = [1, 1, 1]
+
+
+def _s_zero(module):
+    matrix = module["arrows"]["s"]["matrix"]
+    matrix[:] = [[[0, 0] for _ in row] for row in matrix]
+
+
 BAD_INPUTS = {
     "unknown example": (["validate", "example:NOPE"], None, "InvalidInput"),
     "missing file": (["validate", "{missing}"], None, "InvalidInput"),
@@ -252,6 +264,19 @@ BAD_INPUTS = {
         ["quadratic", "--p", "2", "--n", "1", "--beta", "x", "--gamma", "1"],
         None,
         "InvalidInput",
+    ),
+    # more than n coefficients are refused, not reduced modulo the modulus
+    "matrix entry too long": (["decompose", "{module}"], _one_entry_of_a_too_long, "InvalidInput GF(2^2)"),
+    "quadratic element too long": (
+        ["quadratic", "--p", "2", "--n", "2", "--beta", "[1,1,1]", "--gamma", "1"],
+        None,
+        "InvalidInput GF(2^2)",
+    ),
+    # s s = beta s - gamma fails when s acts by zero
+    "special loop breaks its quadratic": (
+        ["decompose", "{module}"],
+        _s_zero,
+        "InvalidInput defining relation",
     ),
     "duplicate vertex": (
         ["validate", "{module}"],

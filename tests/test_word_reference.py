@@ -32,7 +32,6 @@ from clannish.words import (
     _extensions,
     _first_letters,
     band_shape,
-    canonical_string_word,
     enumerate_bands,
     enumerate_strings,
     invert_word,
@@ -41,6 +40,7 @@ from clannish.words import (
     trivial_word,
     word_key,
 )
+from library_reference import canonical_string_word
 
 # -- the reference -------------------------------------------------------------
 

@@ -16,10 +16,8 @@ from clannish.words import (
     Word,
     band_shape,
     band_symmetries,
-    canonical_string_word,
     classify_position,
     compare,
-    concat_words,
     enumerate_bands,
     enumerate_strings,
     finite_word,
@@ -28,15 +26,14 @@ from clannish.words import (
     is_relation_admissible,
     is_right_end_admissible,
     periodic_word,
-    position_norm,
     prefix_inverse,
-    shift_word,
     suffix,
     symmetric_decomposition,
     trivial_word,
     vertex_at,
     word_key,
 )
+from library_reference import canonical_string_word, concat_words, position_norm, shift_word
 
 S = Letter("s", "s")
 A = Letter("d", "a")
