@@ -21,10 +21,6 @@ class DimensionMismatch(ClannishError):
     pass
 
 
-class SingularQuadratic(ClannishError):
-    pass
-
-
 class PreconditionViolated(ClannishError):
     pass
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 from .errors import NotRightEndAdmissible, SpaceMismatch
 from .linalg import Subspace, is_k_stable, k_dim
 from .presentation import Letter
-from .relations import walk_letter_relation
+from .relations import _iterate, walk_letter_relation
 from .walks import RwSpec, WalkShape, walk_shape
 from . import words as words_mod
 
@@ -60,18 +60,24 @@ def _finite_start(rep, v, need):
     return plus, minus
 
 
-def _walk_relation(rep, letters):
-    """R(l1...lm) = R(l1) after R(l2...lm), memoised per module by suffix."""
-    if len(letters) == 1:
-        return walk_letter_relation(rep, letters[0])
-    cache = rep._filtration_cache
-    key = ("R", letters)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = walk_letter_relation(rep, letters[0]).compose(
-            _walk_relation(rep, letters[1:])
-        )
-    return hit
+def _tail_pair(rep, period):
+    """(D^+, D^-) of the periodic tail of period l1...ln: the stable image and
+    stable kernel of R = R(l1...ln), without building R.
+
+    The iteration U -> l1(l2(...ln(U))) starts from the bound (R(full), R(0))
+    that the ("span", v) root holds and takes every image through the
+    (letter, subspace) memo ``_image``.  (R o S)(U) = R(S(U)), so it passes
+    through the same spaces as the iteration of R.
+    """
+    span = ("span", rep.pres.tail(period[-1]))
+
+    def step(space):
+        for letter in reversed(period):
+            space = _image(rep, letter, space)
+        return space
+
+    upper, lower = _suffix_plus_minus(rep, period, span)
+    return _iterate(step, upper), _iterate(step, lower)
 
 
 def _suffix_plus_minus(rep, letters, end):
@@ -97,8 +103,7 @@ def _suffix_plus_minus(rep, letters, end):
             p, d = rep.field.p, rep.prime_dim(end[1])
             hit = (Subspace.full(p, d), Subspace.zero(p, d))
         else:
-            lower, upper = _walk_relation(rep, end[1]).stable_pair()
-            hit = (upper, lower)
+            hit = _tail_pair(rep, end[1])
         cache[key] = hit
     return hit
 

@@ -151,13 +151,16 @@ def _stable_pair(rel):
     around the method that runs them does not recurse."""
     if rel.src != rel.tgt:
         raise SpaceMismatch("stable pair needs an endo-relation")
-    return _iterate(rel, rel.zero_source()), _iterate(rel, rel.full_source())
+    return _iterate(rel.image, rel.zero_source()), _iterate(rel.image, rel.full_source())
 
 
-def _iterate(rel, start):
+def _iterate(step, start):
+    """The first of start, step(start), step(step(start)), ... that ``step``
+    fixes.  A relation's image is monotone, so from 0 or full the chain
+    stabilizes within the ambient dimension; otherwise NotStabilized."""
     seen = start
     for _ in range(seen.ambient + 2):
-        nxt = rel.image(seen)
+        nxt = step(seen)
         if nxt == seen:
             return seen
         seen = nxt

@@ -73,10 +73,16 @@ def element_to_json(x):
 
 
 def element_from_json(field, data):
-    """An int (base-p digits) or a list of at most n coefficients, padded
-    with zeros; a longer list raises InvalidInput."""
+    """An int or a list of at most n coefficients, padded with zeros.  A
+    prime field reduces an int modulo p; GF(p^n) with n >= 2 reads it as
+    base-p digits and takes it only in range(q).  Anything else raises
+    InvalidInput."""
     _check_kind(data, (int, list), "a field element")
     if isinstance(data, int):
+        if field.n > 1 and not 0 <= data < field.q:
+            raise InvalidInput(
+                f"an integer element of {field!r} lies in range({field.q}), not {data}"
+            )
         return field.el(data)
     coeffs = _items(data, int, "a field element")
     if len(coeffs) > field.n:

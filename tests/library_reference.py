@@ -12,11 +12,11 @@ workload runs them, so they are kept here and not in ``clannish``.
 import random
 
 from clannish.errors import (
+    ClannishError,
     NonConcatenable,
     NotEndAdmissible,
     NotStarLetter,
     PreconditionViolated,
-    SingularQuadratic,
 )
 from clannish.fields import Aut
 from clannish.homalg import SEED, _indec_isomorphic, brute_decompose, hom_space
@@ -39,6 +39,12 @@ from clannish.words import (
     suffix,
     word_key,
 )
+
+
+class SingularQuadratic(ClannishError):
+    """``quotient_inverse`` and ``inverse_quadratic`` met a singular
+    quadratic (gamma = 0)."""
+
 
 # -- isomorphism of modules -------------------------------------------------------
 

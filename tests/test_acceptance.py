@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from clannish import filtration
 from clannish import relations as rel_mod
 from clannish.examples import (
     alternating_group_quotient,
@@ -92,16 +93,37 @@ THETA = FormalAut({"theta": 1})
 FORMAL = {"s": SIG, "a": THETA}
 
 
-@pytest.fixture(autouse=True)
-def law_checks(monkeypatch):
-    # criterion 8: assert the relation-calculus laws inline on every stable
-    # pair computed during the acceptance run
-    def checked_stable_pair(rel):
-        lower, upper = rel_mod._stable_pair(rel)
-        rel_mod.check_stable_image_laws(rel, lower, upper)
-        return lower, upper
+# the criteria whose sweeps compute periodic tails, so whose law checks must fire
+INLINE_CHECKED = (
+    "test_criterion_5_dimension_formula",
+    "test_criterion_6_evaluation_property",
+    "test_criterion_7_oracle_agreement",
+)
 
-    monkeypatch.setattr(rel_mod.SemilinearRelation, "stable_pair", checked_stable_pair)
+
+@pytest.fixture(autouse=True)
+def law_checks(monkeypatch, request):
+    # criterion 8: on every periodic tail computed during the acceptance run,
+    # build the period's composite R, assert the relation-calculus laws on
+    # it, and assert that the letter-wise tail pair is R's stable pair
+    tail_pair, checked = filtration._tail_pair, []
+
+    def checked_tail_pair(rep, period):
+        plus, minus = tail_pair(rep, period)
+        checked.append(period)
+        rel = rel_mod.walk_letter_relation(rep, period[-1])
+        for letter in reversed(period[:-1]):
+            rel = rel_mod.walk_letter_relation(rep, letter).compose(rel)
+        lower, upper = rel_mod._stable_pair(rel)
+        assert (plus, minus) == (upper, lower), period
+        rel_mod.check_stable_image_laws(rel, lower, upper)
+        return plus, minus
+
+    monkeypatch.setattr(filtration, "_tail_pair", checked_tail_pair)
+    yield
+    if request.node.name in INLINE_CHECKED:
+        assert checked, "no periodic tail reached the inline law checks"
+        print(f"criterion 8 inline: stable-image laws x{len(checked)} in {request.node.name}")
 
 
 @pytest.fixture(scope="module")

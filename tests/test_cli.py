@@ -192,6 +192,13 @@ def _one_entry_of_a_too_long(module):
     rows[i][j] = [1, 1, 1]
 
 
+def _one_entry_of_a_out_of_range(module):
+    """Write one nonzero entry of ``a`` as its base-2 integer code plus q = 4."""
+    rows = module["arrows"]["a"]["matrix"]
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if any(x))
+    rows[i][j] = 4 + rows[i][j][0] + 2 * rows[i][j][1]
+
+
 def _s_zero(module):
     matrix = module["arrows"]["s"]["matrix"]
     matrix[:] = [[[0, 0] for _ in row] for row in matrix]
@@ -272,6 +279,17 @@ BAD_INPUTS = {
         None,
         "InvalidInput GF(2^2)",
     ),
+    # an integer element of GF(p^n), n >= 2, is refused outside range(q),
+    # not reduced modulo q
+    **{
+        f"quadratic integer {beta}": (
+            ["quadratic", "--p", "2", "--n", "2", "--beta", beta, "--gamma", "1"],
+            None,
+            "InvalidInput GF(2^2)",
+        )
+        for beta in ("7", "-1")
+    },
+    "matrix entry out of range": (["decompose", "{module}"], _one_entry_of_a_out_of_range, "InvalidInput GF(2^2)"),
     # s s = beta s - gamma fails when s acts by zero
     "special loop breaks its quadratic": (
         ["decompose", "{module}"],

@@ -160,12 +160,11 @@ def test_k_dimension_checks_stability(F4):
 def test_iteration_that_never_stabilizes_raises_a_typed_error():
     a, b = Subspace(3, 2, [[1, 0]]), Subspace(3, 2, [[0, 1]])
 
-    class Flip:
-        def image(self, space):
-            return b if space == a else a
+    def flip(space):
+        return b if space == a else a
 
     with pytest.raises(NotStabilized) as info:
-        relations._iterate(Flip(), a)
+        relations._iterate(flip, a)
     assert isinstance(info.value, ClannishError)
 
 

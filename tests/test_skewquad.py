@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from clannish.errors import PreconditionViolated, SingularQuadratic
+from clannish.errors import PreconditionViolated
 from clannish.fields import Aut, make_field
 from clannish.linalg import Matrix
 from clannish.skewquad import (
@@ -15,7 +15,12 @@ from clannish.skewquad import (
     factorizations,
     twist_quadratic,
 )
-from library_reference import inverse_quadratic, quotient_inverse, solve_unit_equation
+from library_reference import (
+    SingularQuadratic,
+    inverse_quadratic,
+    quotient_inverse,
+    solve_unit_equation,
+)
 
 
 def brute_factorizations(q):

@@ -5,7 +5,8 @@ built from, checked against the direct algorithms they replace.
 The reference below rebuilds D^+ and D^- of a walk from scratch: start
 spaces at the walk's end, then the letter relations applied right to left;
 a right-infinite walk starts from the stable pair of its period composite,
-composed one letter at a time.
+composed one letter at a time.  The decompose path builds no composite: it
+iterates a period letter by letter through the image memo.
 """
 
 import random
@@ -16,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clannish import examples, filtration, homalg
+from clannish.errors import NotStabilized
 from clannish.fields import Aut, make_field
 from clannish.filtration import candidate_descriptors, multiplicities, walk_plus_minus
 from clannish.linalg import Matrix, Subspace
@@ -50,14 +52,21 @@ def _start_spaces(rep, walk):
     return plus, minus
 
 
+def _composite_tail_pair(rep, period):
+    """(D^+, D^-) of a periodic tail: the stable image and stable kernel of
+    the period composite R(l1) o ... o R(ln)."""
+    period_rel = walk_letter_relation(rep, period[-1])
+    for wl in reversed(period[:-1]):
+        period_rel = walk_letter_relation(rep, wl).compose(period_rel)
+    lower, upper = period_rel.stable_pair()
+    return upper, lower
+
+
 def _direct_plus_minus(rep, walk):
     if walk.shape == "finite":
         plus, minus = _start_spaces(rep, walk)
     else:
-        period = walk_letter_relation(rep, walk.period[-1])
-        for wl in reversed(walk.period[:-1]):
-            period = walk_letter_relation(rep, wl).compose(period)
-        minus, plus = period.stable_pair()
+        plus, minus = _composite_tail_pair(rep, walk.period)
     return _apply_letters(rep, walk.letters, plus), _apply_letters(rep, walk.letters, minus)
 
 
@@ -86,11 +95,12 @@ def _beta_presentation():
 MEMO_PRESENTATIONS = {**PRESENTATIONS, "GF(4)/beta": (_beta_presentation, ())}
 
 
-def _conjugated_sum(pres, rng, kdim):
-    """A random direct sum of catalog modules of K-dimension kdim, under a
-    random base change at every vertex."""
+def _conjugated_sum(pres, rng, kdim, planted=None):
+    """A random direct sum of catalog modules of K-dimension kdim, one of
+    them ``planted`` if given, under a random base change at every vertex."""
     catalog = examples.module_catalog(pres, 3, 3)
-    total, budget = None, kdim
+    total = planted
+    budget = kdim - (0 if planted is None else planted.dim())
     while budget:
         rep = rng.choice([c for c in catalog if c[2].dim() <= budget])[2]
         total = rep if total is None else homalg.direct_sum(total, rep)
@@ -173,6 +183,51 @@ def test_the_image_memo_tells_apart_what_the_relation_tells_apart(name):
             assert images == [rel.image(line) for line in lines], (name, letter)
             told_apart += len(set(images)) > 1
     assert told_apart
+
+
+@pytest.mark.parametrize("name", MEMO_PRESENTATIONS)
+def test_the_decompose_path_builds_no_composite(name, monkeypatch):
+    """Periodic tails go letter by letter through the image memo: with
+    ``compose`` and ``stable_pair`` refused, the report is the one that the
+    composites' stable pairs give."""
+    make, args = MEMO_PRESENTATIONS[name]
+    pres = make(*args)
+    rng = random.Random(f"no-composite/{name}")
+    # a planted band makes the sweep compute periodic tails; A4's catalog
+    # holds no band
+    bands = [c[2] for c in examples.module_catalog(pres, 3, 3) if c[0].word.shape == "zper"]
+    rep = _conjugated_sum(pres, rng, 6, rng.choice(bands) if bands else None)
+    tails = []
+
+    def reference_tail_pair(rep, period):
+        tails.append(period)
+        return _composite_tail_pair(rep, period)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(filtration, "_tail_pair", reference_tail_pair)
+        expected = multiplicities(Representation(pres, rep.dims, rep.mats))
+
+    def refused(*args):
+        raise AssertionError("the decompose path built a composite relation")
+
+    monkeypatch.setattr(SemilinearRelation, "compose", refused)
+    monkeypatch.setattr(SemilinearRelation, "stable_pair", refused)
+    report = multiplicities(Representation(pres, rep.dims, rep.mats))
+    assert tails or not bands, name
+    assert report.complete and report.as_dict() == expected.as_dict(), name
+
+
+def test_a_tail_that_never_repeats_a_space_raises(E1, monkeypatch):
+    """The letter-wise tail runs under the same bound as ``stable_pair``."""
+    rep = _conjugated_sum(E1, random.Random(0), 2)
+    p, d = rep.field.p, rep.prime_dim("1")
+
+    def flip(rep, letter, space):
+        return Subspace.zero(p, d) if space.dim else Subspace.full(p, d)
+
+    monkeypatch.setattr(filtration, "_image", flip)
+    with pytest.raises(NotStabilized):
+        filtration._tail_pair(rep, (Letter("d", "a"),))
 
 
 def test_modules_are_read_only(E1):
