@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotRightEndAdmissible, SpaceMismatch
+from .errors import NotRightEndAdmissible, PreconditionViolated, SpaceMismatch
 from .linalg import Subspace, is_k_stable, k_dim
 from .presentation import Letter
 from .relations import _iterate, walk_letter_relation
@@ -28,13 +28,13 @@ def _extension_arrows(pres, v, need):
 def _image(rep, letter, sub):
     """R(letter)(sub), memoised per module by (letter, subspace).
 
-    Many suffixes reach the same subspace, so the suffix memo alone takes
+    Many forest nodes reach the same subspace, so the pair memo alone takes
     the same image again.  The key holds the walk letter's kind as well as
     its name, since R(s) and R(s^-1) differ, and the canonical ``Subspace``,
     which compares on its reduced basis.
     """
-    cache = rep._filtration_cache
-    key = ("I", letter, sub)
+    cache = rep._images
+    key = (letter, sub)
     hit = cache.get(key)
     if hit is None:
         hit = cache[key] = walk_letter_relation(rep, letter).image(sub)
@@ -65,38 +65,86 @@ def _tail_pair(rep, period):
     stable kernel of R = R(l1...ln), without building R.
 
     The iteration U -> l1(l2(...ln(U))) starts from the bound (R(full), R(0))
-    that the ("span", v) root holds and takes every image through the
-    (letter, subspace) memo ``_image``.  (R o S)(U) = R(S(U)), so it passes
-    through the same spaces as the iteration of R.
+    that the forest node of the period on its ("span", v) root holds and
+    takes every image through the (letter, subspace) memo ``_image``.
+    (R o S)(U) = R(S(U)), so it passes through the same spaces as the
+    iteration of R.
     """
-    span = ("span", rep.pres.tail(period[-1]))
+    pres = rep.pres
 
     def step(space):
         for letter in reversed(period):
             space = _image(rep, letter, space)
         return space
 
-    upper, lower = _suffix_plus_minus(rep, period, span)
+    upper, lower = _pair(rep, _node(pres, period, ("span", pres.tail(period[-1]))))
     return _iterate(step, upper), _iterate(step, lower)
 
 
-def _suffix_plus_minus(rep, letters, end):
-    """D^+ and D^- of l1...ln C' as l1(D(l2...ln C')), memoised per module by suffix.
+# -- the half-walk forest -------------------------------------------------------
 
-    ``end`` names what follows the letters: ("finite", v, need) for the
-    trivial walk at v, ("right", period) for the periodic tail, or
-    ("span", v) for the pair (full, 0) at v, from which the letters of a
-    period R = R(l1...ln) carry the bound (R(full), R(0)).  Under this memo
-    each image l1(U) is memoised by (l1, U) (``_image``), so suffixes that
-    reach the same subspace share it.
+
+class _Forest(NamedTuple):
+    """The memo places of one presentation's half-walks, interned as integer
+    node ids, and the sweep's per-dimension plans.
+
+    Node i is ``nodes[i] = (letter, parent, end)``: the one-sided walk
+    l1 l2...ln C' is l1 prepended to its parent l2...ln C', and ``end`` names
+    the root the walk ends in: ("finite", v, need) for the trivial walk at v,
+    ("right", period) for a periodic tail, or ("span", v) for the pair
+    (full, 0) at v, from which the letters of a period R = R(l1...ln) carry
+    the bound (R(full), R(0)).  A root has no letter; its parent is -1, but a
+    periodic tail's parent is its bound, the period on its ("span", v) root.
+    Nodes hang on the presentation alone, so every module over it shares
+    them and keeps its own pairs and gap states by node id.
     """
-    cache = rep._filtration_cache
-    key = ("D", letters, end)
-    hit = cache.get(key)
+
+    nodes: list  # node id -> (letter, parent id, end)
+    index: dict  # root end, or (parent id, letter), -> node id
+    plans: dict  # dim -> [[descriptor, screen node ids, word data or None]]
+    halves: dict  # (walk, i) -> node ids of the two half-walks at i
+
+
+def _forest(pres):
+    forest = pres._forest
+    if forest is None:
+        forest = pres._forest = _Forest([], {}, {}, {})
+    return forest
+
+
+def _node(pres, letters, end):
+    """The node id of l1...ln C' with C' named by ``end``; created on first use."""
+    forest = _forest(pres)
+    index, nodes = forest.index, forest.nodes
+    node = index.get(end)
+    if node is None:
+        parent = -1
+        if end[0] == "right":
+            period = end[1]
+            parent = _node(pres, period, ("span", pres.tail(period[-1])))
+        node = index[end] = len(nodes)
+        nodes.append((None, parent, end))
+    for letter in reversed(letters):
+        key = (node, letter)
+        child = index.get(key)
+        if child is None:
+            child = index[key] = len(nodes)
+            nodes.append((letter, node, end))
+        node = child
+    return node
+
+
+def _pair(rep, node):
+    """(D^+, D^-) of forest node ``node`` in rep, memoised per module by id:
+    l1(D(l2...ln C')) for a letter on its parent, and the start spaces,
+    (full, 0) or the stable pair of the period at a root."""
+    pairs = rep._pairs
+    hit = pairs.get(node)
     if hit is None:
-        if letters:
-            plus, minus = _suffix_plus_minus(rep, letters[1:], end)
-            hit = (_image(rep, letters[0], plus), _image(rep, letters[0], minus))
+        letter, parent, end = rep.pres._forest.nodes[node]
+        if letter is not None:
+            plus, minus = _pair(rep, parent)
+            hit = (_image(rep, letter, plus), _image(rep, letter, minus))
         elif end[0] == "finite":
             hit = _finite_start(rep, end[1], end[2])
         elif end[0] == "span":
@@ -104,53 +152,58 @@ def _suffix_plus_minus(rep, letters, end):
             hit = (Subspace.full(p, d), Subspace.zero(p, d))
         else:
             hit = _tail_pair(rep, end[1])
-        cache[key] = hit
+        pairs[node] = hit
     return hit
 
 
-def _open_pair(rep, letters, end):
-    """(D^+, D^-) of l1...ln C' while its gap dim D^+ - dim D^- is open
-    (positive), or None once it is closed; memoised per module by suffix.
+def _is_open(rep, node):
+    """Whether the gap dim D^+ - dim D^- of forest node ``node`` is open
+    (positive) in rep, memoised per module by id.
 
     Prepending a letter maps both spaces through its relation R, and
-    gap(R(U), R(W)) <= gap(U, W) for W <= U, so a closed suffix closes every
-    walk that ends in it and takes no image.  A periodic tail is closed when the bound
-    (R(full), R(0)) of its period is: R(0) <= lower <= upper <= R(full) for
-    its stable pair.  Every root checks D^- <= D^+, which the gap needs.
+    gap(R(U), R(W)) <= gap(U, W) for W <= U, so a closed parent closes the
+    node and takes no image.  A periodic tail is closed when its bound
+    (R(full), R(0)) is: R(0) <= lower <= upper <= R(full) for its stable
+    pair.  Every root checks D^- <= D^+, which the gap needs.
     """
-    cache = rep._filtration_cache
-    key = ("O", letters, end)
-    if key in cache:
-        return cache[key]
-    if letters:
-        closed = _open_pair(rep, letters[1:], end) is None
-    elif end[0] == "right":
-        period = end[1]
-        span = ("span", rep.pres.tail(period[-1]))
-        closed = _open_pair(rep, period, span) is None
-    else:
-        closed = False
-    hit = None
-    if not closed:
-        plus, minus = _suffix_plus_minus(rep, letters, end)
-        if not letters and not minus <= plus:
-            raise SpaceMismatch("a walk filtration starts with D^- outside D^+")
-        if plus.dim > minus.dim:
-            hit = (plus, minus)
-    cache[key] = hit
+    gaps = rep._gaps
+    hit = gaps.get(node)
+    if hit is None:
+        letter, parent, _ = rep.pres._forest.nodes[node]
+        if parent >= 0 and not _is_open(rep, parent):
+            hit = False
+        else:
+            plus, minus = _pair(rep, node)
+            if letter is None and not minus <= plus:
+                raise SpaceMismatch("a walk filtration starts with D^- outside D^+")
+            hit = plus.dim > minus.dim
+        gaps[node] = hit
     return hit
+
+
+def _all_open(rep, nodes):
+    """Whether every node of ``nodes`` is open in rep, read in order up to
+    the first closed one."""
+    gaps = rep._gaps
+    for node in nodes:
+        state = gaps.get(node)
+        if state is None:
+            state = _is_open(rep, node)
+        if not state:
+            return False
+    return True
 
 
 def _finite_end(pres, v, need):
-    """The memo root ("finite", v, need) of a walk that ends at v with
-    need, once that end is known to be right-end-admissible."""
+    """The root ("finite", v, need) of a walk that ends at v with need, once
+    that end is known to be right-end-admissible."""
     if not words_mod.is_admissible_end(pres, v, need):
         raise NotRightEndAdmissible("walk filtration needs a right-end-admissible word")
     return ("finite", v, need)
 
 
 def _walk_end(pres, walk):
-    """(letters, end): where the filtration memo keeps a one-sided walk."""
+    """(letters, end): the memo place of a one-sided walk."""
     if walk.shape == "finite":
         return walk.letters, _finite_end(pres, *words_mod.right_end(pres, walk))
     if walk.shape == "right":
@@ -160,7 +213,7 @@ def _walk_end(pres, walk):
 
 def walk_plus_minus(rep, walk):
     """(D^+(M), D^-(M)) for a walk whose word lies in some H(l, eps)."""
-    return _suffix_plus_minus(rep, *_walk_end(rep.pres, walk))
+    return _pair(rep, _node(rep.pres, *_walk_end(rep.pres, walk)))
 
 
 class FunctorReport(NamedTuple):
@@ -178,7 +231,7 @@ def f_dim(rep, desc_or_shape, index=None):
 
     ``desc_or_shape`` is a descriptor or its walk shape: a ``WalkShape``, or
     an ``RwSpec``, which starts with the same kind, word, walk and J_w, the
-    only fields read here.
+    only fields read here.  ``index`` must lie in J_w (default min J_w).
     """
     pres = rep.pres
     shape = (
@@ -186,10 +239,15 @@ def f_dim(rep, desc_or_shape, index=None):
         if isinstance(desc_or_shape, (WalkShape, RwSpec))
         else walk_shape(pres, desc_or_shape)
     )
-    i = min(shape.Jw) if index is None else index
-    after, before = _half_ends(pres, shape, i)
-    d_plus, d_minus = _suffix_plus_minus(rep, *after)
-    e_plus, e_minus = _suffix_plus_minus(rep, *before)
+    if index is None:
+        i = min(shape.Jw)
+    elif index in shape.Jw:
+        i = index
+    else:
+        raise PreconditionViolated(f"index {index} is outside J_w of {shape.word!r}")
+    after, before = _half_nodes(pres, shape, i)
+    d_plus, d_minus = _pair(rep, after)
+    e_plus, e_minus = _pair(rep, before)
     top = d_plus.intersect(e_plus)
     bottom = d_plus.intersect(e_minus).sum(d_minus.intersect(e_plus))
     field = rep.field
@@ -226,19 +284,10 @@ class DecompositionReport(NamedTuple):
         }
 
 
-def candidate_descriptors(pres, dim):
-    """All strings/bands that could contribute to a module of K-dimension dim.
-
-    A contributing descriptor w has |J_w| <= dim, so asymmetric strings have
-    length <= dim - 1, symmetric strings length <= 2 dim - 1, asymmetric
-    bands period <= dim and symmetric bands period <= 2 dim.  Symmetric
-    shapes only exist in the presence of special loops.  A list already made
-    for a larger dim is filtered, not enumerated again: both are sorted by
-    ``word_key``, so the filter keeps the order.
-    """
-    hit = pres._descriptors.get(dim)
-    if hit is not None:
-        return hit
+def _within(pres, dim):
+    """Whether a descriptor lies within the bounds that dim sets: asymmetric
+    strings of length <= dim - 1, symmetric ones <= 2 dim - 1, asymmetric
+    bands of period <= dim and symmetric ones <= 2 dim."""
     sym_bound = 2 * dim if pres.special else dim
 
     def fits(d):
@@ -247,6 +296,21 @@ def candidate_descriptors(pres, dim):
             return len(d.word.letters) < bound
         return len(d.word.period) <= bound
 
+    return fits
+
+
+def candidate_descriptors(pres, dim):
+    """All strings/bands that could contribute to a module of K-dimension dim.
+
+    A contributing descriptor w has |J_w| <= dim, which bounds its word
+    (``_within``).  Symmetric shapes only exist in the presence of special
+    loops.  A list already made for a larger dim is filtered, not enumerated
+    again: both are sorted by ``word_key``, so the filter keeps the order.
+    """
+    hit = pres._descriptors.get(dim)
+    if hit is not None:
+        return hit
+    fits = _within(pres, dim)
     larger = [k for k in pres._descriptors if k > dim]
     if larger:
         descs = [d for d in pres._descriptors[min(larger)] if fits(d)]
@@ -254,6 +318,7 @@ def candidate_descriptors(pres, dim):
         # one enumeration each, at the symmetric bound: both lists are sorted
         # by length first, so the asymmetric words keep their place ahead of
         # the longer symmetric ones
+        sym_bound = 2 * dim if pres.special else dim
         strings = words_mod.enumerate_strings(pres, sym_bound - 1)
         bands = words_mod.enumerate_bands(pres, sym_bound)
         descs = [d for d in strings + bands if fits(d)]
@@ -270,23 +335,25 @@ def multiplicities(rep):
     records that it does, a self-check that is false only on a defect.
 
     f_dim(w) is 0 when either half-walk of w at min J_w has D^+ = D^-, so
-    only candidates whose two halves keep an open gap (``_open_pair``) get
-    ``f_dim``, on their memoised walk shape.  Each candidate is first screened
-    on the memo places its word alone fixes (``_screen``); only the ones it
-    passes get their shape, their fit to the module and the gap test of
+    only candidates whose two halves keep an open gap (``_is_open``) get
+    ``f_dim``, on their memoised walk shape.  The presentation's plan for
+    dim (``_plan``) lists each candidate with the forest nodes its word
+    alone fixes; a candidate is screened on those first, and only the ones
+    that pass get their shape, their fit to the module and the gap test of
     their two halves.
     """
-    pres, dim = rep.pres, rep.dim()
+    pres, dims, dim = rep.pres, rep.dims, rep.dim()
     entries = []
-    for desc in candidate_descriptors(pres, dim):
-        word = desc.word
-        if not _screen(rep, word):
+    for entry in _plan(pres, dim):
+        desc, screen, data = entry
+        if not _all_open(rep, screen):
             continue
-        shape = _memo(pres._shapes, word, walk_shape, pres, desc)
-        if not _vertex_counts_fit(rep, shape):
+        if data is None:
+            data = entry[2] = _word_data(pres, desc)
+        shape, counts, halves = data
+        if any(dims[v] < c for v, c in counts):
             continue
-        halves = _memo(pres._halves, word, _half_ends, pres, shape, min(shape.Jw))
-        if all(_open_pair(rep, letters, end) is not None for letters, end in halves):
+        if _all_open(rep, halves):
             report = f_dim(rep, shape)
             if report.f_dim:
                 entries.append((desc, report.rank, report.f_dim))
@@ -294,27 +361,40 @@ def multiplicities(rep):
     return DecompositionReport(entries, dim, checksum, checksum == dim)
 
 
-def _memo(cache, key, make, *args):
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = make(*args)
-    return hit
+def _plan(pres, dim):
+    """The sweep's plan for dim: one entry [descriptor, screen node ids,
+    word data] per candidate, in ``candidate_descriptors`` order, built on
+    the first call at dim.  A plan already made for a larger dim is
+    filtered, as the candidate list is; the filtered entries are the same
+    lists, so they share their word data."""
+    descs = candidate_descriptors(pres, dim)
+    plans = _forest(pres).plans
+    plan = plans.get(dim)
+    if plan is None:
+        larger = [k for k in plans if k > dim]
+        if larger:
+            fits = _within(pres, dim)
+            plan = [entry for entry in plans[min(larger)] if fits(entry[0])]
+        else:
+            plan = [[d, _screen_nodes(pres, d.word), None] for d in descs]
+        plans[dim] = plan
+    return plan
 
 
-def _screen(rep, word):
-    """False when the word alone shows that a half of the candidate at
-    min J_w = 0 is closed, so that its f_dim is 0; True otherwise.
+def _screen_nodes(pres, word):
+    """The forest nodes that the word alone fixes on the halves of the
+    candidate at min J_w = 0; if one of them is closed, so is that half, and
+    its f_dim is 0.
 
     Only star letters are oriented by the canonical walk: every other word
     letter is a walk letter as it stands.  A string's halves at 0 are its
     walk letters on the root of its right end, whose suffix after the last
-    star letter the word fixes, and the bare root ("finite", v_0,
-    -eps); a closed suffix closes every walk that ends in it.  A band with
-    no star letter is its own canonical walk, and its halves at 0 are its
-    block and its inverted block as periodic tails.  The sweep builds the
-    canonical walk only for the words that pass.
+    star letter the word fixes, and the bare root ("finite", v_0, -eps); a
+    closed suffix closes every walk that ends in it.  A band with no star
+    letter is its own canonical walk, and its halves at 0 are its block and
+    its inverted block as periodic tails.  A band with a star letter has no
+    screen.
     """
-    pres = rep.pres
     if word.shape == "finite":
         letters = word.letters
         stars = [j for j, l in enumerate(letters) if l.kind == "s"] if pres.special else ()
@@ -322,15 +402,33 @@ def _screen(rep, word):
             letters = letters[stars[-1] + 1 :]
         right = _finite_end(pres, *words_mod.right_end(pres, word))
         left = _finite_end(pres, word.v0, -word.eps)
-        return (
-            _open_pair(rep, (), left) is not None
-            and _open_pair(rep, letters, right) is not None
-        )
+        return _node(pres, (), left), _node(pres, letters, right)
     if pres.special and any(l.kind == "s" for l in word.period):
-        return True
+        return ()
     block = word.period
     inverted = tuple(l.inverse() for l in reversed(block))
-    return all(_open_pair(rep, (), ("right", tail)) is not None for tail in (block, inverted))
+    return tuple(_node(pres, (), ("right", tail)) for tail in (block, inverted))
+
+
+def _word_data(pres, desc):
+    """(shape, J_w vertex counts, half node ids at min J_w) of a candidate."""
+    shape = walk_shape(pres, desc)
+    counts = {}
+    for i in shape.Jw:
+        v = words_mod.vertex_at(pres, shape.word, i)
+        counts[v] = counts.get(v, 0) + 1
+    return shape, tuple(counts.items()), _half_nodes(pres, shape, min(shape.Jw))
+
+
+def _half_nodes(pres, shape, i):
+    """The forest nodes of the two half-walks at i, memoised per
+    presentation by (walk, i)."""
+    halves = _forest(pres).halves
+    key = (shape.walk, i)
+    hit = halves.get(key)
+    if hit is None:
+        hit = halves[key] = tuple(_node(pres, *place) for place in _half_ends(pres, shape, i))
+    return hit
 
 
 def _half_ends(pres, shape, i):
@@ -348,12 +446,3 @@ def _half_ends(pres, shape, i):
     return tuple(
         _walk_end(pres, half(pres, walk, i)) for half in (words_mod.suffix, words_mod.prefix_inverse)
     )
-
-
-def _vertex_counts_fit(rep, shape):
-    """A summand of shape w needs #(J_w at l) <= dim_K e_l M at each vertex."""
-    counts = {}
-    for i in shape.Jw:
-        v = words_mod.vertex_at(rep.pres, shape.word, i)
-        counts[v] = counts.get(v, 0) + 1
-    return all(rep.dims.get(v, 0) >= c for v, c in counts.items())

@@ -90,13 +90,12 @@ class Presentation:
             v: tuple(s for s in sorted(self.special) if self.arrows[s].source == v)
             for v in self.vertices
         }
-        # the letter tables of words, and the candidate descriptors, their
-        # walk shapes and half-walk memo places of filtration; each filled on
+        # the letter tables of words, the candidate descriptors by dim, and
+        # filtration's half-walk forest with its per-dim plans; each filled on
         # first use
         self._word_tables = None
         self._descriptors = {}
-        self._shapes = {}
-        self._halves = {}
+        self._forest = None
 
     # -- arrows and letters ---------------------------------------------------
 

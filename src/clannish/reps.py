@@ -36,7 +36,11 @@ class Representation:
         self.labels = labels
         self._prime_cache = {}  # arrow -> packed prime matrix
         self._relation_cache = {}  # relations.arrow_relation
-        self._filtration_cache = {}  # filtration: by walk suffix, and images by (letter, subspace)
+        # filtration: relation images by (walk letter, subspace), and the
+        # pair (D^+, D^-) and open gap of each half-walk forest node, by id
+        self._images = {}
+        self._pairs = {}
+        self._gaps = {}
 
     @property
     def field(self):

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from clannish.errors import PreconditionViolated
 from clannish.examples import module_catalog
 from clannish.filtration import f_dim, multiplicities, walk_plus_minus
 from clannish.homalg import direct_sum
 from clannish.linalg import Subspace, is_k_stable
 from clannish.presentation import Letter
+from clannish.reps import Representation
 from clannish.skewquad import classify_quadratic
 from clannish.walks import (
     build_module,
@@ -105,6 +107,26 @@ def test_f_dim_independent_of_index(E1):
         base = f_dim(rep, spec)
         for idx in list(spec.Jw)[1:]:
             assert f_dim(rep, spec, index=idx).f_dim == base.f_dim
+
+
+@pytest.mark.parametrize("shape", ["finite", "zper"])
+def test_f_dim_rejects_an_index_outside_j_w(GP2, shape):
+    # a string's word has indices 0..n and a band's all of Z, but f_dim is
+    # defined at the indices of J_w alone; a bad index does no filtration work
+    desc, _, rep = next(
+        c for c in module_catalog(GP2)
+        if c[0].word.shape == shape and len(c[0].word.letters + c[0].word.period) == 2
+    )
+    spec = rw_descriptor(GP2, desc)
+    fresh = Representation(GP2, rep.dims, rep.mats)
+    n = 2
+    for idx in (-1, n + 1, 7, min(spec.Jw) - 1, max(spec.Jw) + 1):
+        with pytest.raises(PreconditionViolated):
+            f_dim(fresh, spec, index=idx)
+        with pytest.raises(PreconditionViolated):
+            f_dim(fresh, desc, index=idx)
+    assert not fresh._images and not fresh._pairs
+    assert f_dim(fresh, spec, index=max(spec.Jw)).f_dim == f_dim(rep, spec).f_dim
 
 
 def test_f_dim_additive_on_sums(E1):

@@ -7,7 +7,7 @@ tail's stable pair lies between R(0) and R(full) of its period.  The
 reference sweep below runs ``f_dim`` on every candidate that fits the
 module, as ``multiplicities`` did before it skipped the closed ones, and
 builds the shape of every candidate, as it did before it screened each one
-on the memo places that the word alone fixes.
+on the forest nodes that the word alone fixes.
 """
 
 import random
@@ -147,7 +147,7 @@ def test_a_root_with_d_minus_outside_d_plus_raises(E1, monkeypatch):
 
     monkeypatch.setattr(filtration, "_finite_start", swapped)
     with pytest.raises(SpaceMismatch):
-        filtration._open_pair(rep, (), ("finite", "1", 1))
+        filtration._is_open(rep, filtration._node(E1, (), ("finite", "1", 1)))
     with pytest.raises(SpaceMismatch):
         filtration.multiplicities(Representation(rep.pres, rep.dims, rep.mats))
 
@@ -165,14 +165,25 @@ def _shape(name, desc):
     return _SHAPES[key]
 
 
+def _suffixes(pres, node):
+    """The forest node and the nodes below it down to its root: the memo
+    places of the suffixes of the walk it stands for."""
+    nodes = pres._forest.nodes
+    chain = [node]
+    while nodes[node][0] is not None:
+        node = nodes[node][1]
+        chain.append(node)
+    return chain
+
+
 @given(st.sampled_from(sorted(PRESENTATIONS)), st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_the_screen_never_rejects_a_candidate_with_two_open_halves(name, seed, kdim):
     pres = _pres(name)
     rep = _conjugated_sum(pres, random.Random(seed), kdim)
     ref = Representation(pres, rep.dims, rep.mats)
-    for desc in candidate_descriptors(pres, kdim):
+    for desc, screen, _ in filtration._plan(pres, kdim):
         both_open = all(_open_halves(ref, _shape(name, desc)))
-        passed = filtration._screen(rep, desc.word)
+        passed = filtration._all_open(rep, screen)
         assert passed or not both_open, desc.word
         letters = desc.word.letters + desc.word.period
         if not any(l.is_star for l in letters):
@@ -180,36 +191,25 @@ def test_the_screen_never_rejects_a_candidate_with_two_open_halves(name, seed, k
             assert passed == both_open, desc.word
 
 
-def test_the_screen_reads_suffixes_of_the_halves_alone(monkeypatch):
-    # every memo place the screen tests is a suffix of a half at min J_w that
-    # the canonical walk gives, so it reads what the full gap test would read
-    open_pair, reads, depth = filtration._open_pair, [], [0]
-
-    def recording(rep, letters, end):
-        if not depth[0]:
-            reads.append((letters, end))
-        depth[0] += 1
-        try:
-            return open_pair(rep, letters, end)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(filtration, "_open_pair", recording)
+def test_the_screen_reads_suffixes_of_the_halves_alone():
+    # every forest node the screen tests is a suffix of a half at min J_w
+    # that the canonical walk gives, so it reads what the full gap test would
+    # read; the screen reads its nodes in order up to the first closed one
     past_the_left_root = 0
     for name in sorted(PRESENTATIONS):
         pres = _pres(name)
         rep = _conjugated_sum(pres, random.Random(f"screen-reads/{name}"), 6)
-        for desc in candidate_descriptors(pres, 6):
-            reads.clear()
-            filtration._screen(rep, desc.word)
+        for desc, screen, _ in filtration._plan(pres, 6):
             shape = _shape(name, desc)
-            halves = filtration._half_ends(pres, shape, min(shape.Jw))
-            for letters, end in reads:
-                assert any(
-                    end == half_end and half[len(half) - len(letters) :] == letters
-                    for half, half_end in halves
-                ), (desc.word, letters, end)
-            past_the_left_root += any(l.is_star for l in desc.word.letters) and len(reads) == 2
+            halves = filtration._half_nodes(pres, shape, min(shape.Jw))
+            suffixes = {n for half in halves for n in _suffixes(pres, half)}
+            assert set(screen) <= suffixes, (desc.word, screen, halves)
+            reads = 0
+            for node in screen:
+                reads += 1
+                if not filtration._is_open(rep, node):
+                    break
+            past_the_left_root += any(l.is_star for l in desc.word.letters) and reads == 2
     # strings with a star letter whose right half was read too (on A4)
     assert past_the_left_root
 
@@ -221,22 +221,17 @@ def test_only_candidates_that_pass_the_screen_get_a_shape(name, monkeypatch):
     make, args = PRESENTATIONS[name]
     pres = make(*args)
     rep = _conjugated_sum(pres, random.Random(f"screen/{name}"), 8)
-    passed, shaped = [], []
-    screen, shape = filtration._screen, filtration.walk_shape
-
-    def recording_screen(rep, word):
-        if screen(rep, word):
-            passed.append(word)
-            return True
-        return False
+    shaped, shape = [], filtration.walk_shape
 
     def recording_shape(pres, desc):
         shaped.append(desc.word)
         return shape(pres, desc)
 
-    monkeypatch.setattr(filtration, "_screen", recording_screen)
     monkeypatch.setattr(filtration, "walk_shape", recording_shape)
     got = filtration.multiplicities(rep)
+    # the module's gap states are memoised: reading the screen again takes
+    # no image and gives the sweep's verdicts
+    passed = [d.word for d, screen, _ in filtration._plan(pres, 8) if filtration._all_open(rep, screen)]
     assert got == reference_multiplicities(Representation(pres, rep.dims, rep.mats))[0]
     assert shaped == passed
     assert len(got.entries) <= len(shaped) < len(candidate_descriptors(pres, 8)) // 10

@@ -1,12 +1,15 @@
-"""The per-module memo of the walk filtrations, by suffix and by (letter,
-subspace), and the reduced bases that relation images and composites are
-built from, checked against the direct algorithms they replace.
+"""The walk filtrations memoised on each presentation's half-walk forest and
+by (letter, subspace), and the reduced bases that relation images and
+composites are built from, checked against the direct algorithms they
+replace.
 
 The reference below rebuilds D^+ and D^- of a walk from scratch: start
 spaces at the walk's end, then the letter relations applied right to left;
 a right-infinite walk starts from the stable pair of its period composite,
 composed one letter at a time.  The decompose path builds no composite: it
-iterates a period letter by letter through the image memo.
+iterates a period letter by letter through the image memo.  The forest
+nodes hang on the presentation and the pairs on the module: what is shared
+between modules, and what is not, is checked at the end.
 """
 
 import random
@@ -37,10 +40,14 @@ def _apply_letters(rep, letters, space):
 
 
 def _start_spaces(rep, walk):
-    pres, p = rep.pres, rep.field.p
+    pres = rep.pres
     n = len(walk.letters)
-    v = vertex_at(pres, walk, n)
     need = -pres.sign(walk.letter_at(n).inverse()) if n else walk.eps
+    return _start_spaces_at(rep, vertex_at(pres, walk, n), need)
+
+
+def _start_spaces_at(rep, v, need):
+    pres, p = rep.pres, rep.field.p
     plus = Subspace.full(p, rep.prime_dim(v))
     minus = Subspace.zero(p, rep.prime_dim(v))
     for name in pres.ordinary_arrows():
@@ -140,7 +147,7 @@ def test_memoised_filtrations_match_the_direct_algorithm(name):
         fresh = Representation(pres, rep.dims, rep.mats)
         got = {i: walk_plus_minus(fresh, walks[i]) for i in range(len(walks))[::order]}
         assert [got[i] for i in range(len(walks))] == expected, (name, order)
-        assert fresh._filtration_cache
+        assert fresh._pairs
 
 
 @pytest.mark.parametrize("name", PRESENTATIONS)
@@ -160,7 +167,7 @@ def test_no_image_is_computed_twice_per_module(name, monkeypatch):
     monkeypatch.undo()
     assert report.complete
     assert taken and len(set(taken)) == len(taken), name
-    entries = [(key[1:], hit) for key, hit in rep._filtration_cache.items() if key[0] == "I"]
+    entries = rep._images.items()
     assert len(entries) == len(taken)
     for (letter, sub), hit in entries:
         assert hit == walk_letter_relation(rep, letter).image(sub), (name, letter)
@@ -238,6 +245,141 @@ def test_modules_are_read_only(E1):
         rep.mats["a"] = rep.mats["s"]
     with pytest.raises(TypeError):
         del rep.dims["1"]
+
+
+# -- the half-walk forest ---------------------------------------------------------
+
+
+def _spelled(pres, node):
+    """(letters, end): the walk that forest node ``node`` stands for."""
+    nodes = pres._forest.nodes
+    letter, parent, end = nodes[node]
+    letters = []
+    while letter is not None:
+        letters.append(letter)
+        letter, parent, _ = nodes[parent]
+    return tuple(letters), end
+
+
+def _direct_node_pair(rep, letters, end):
+    """(D^+, D^-) of l1...ln C' with no memo: the start spaces of C', then
+    each letter's relation image, right to left."""
+    p = rep.field.p
+    if end[0] == "finite":
+        plus, minus = _start_spaces_at(rep, end[1], end[2])
+    elif end[0] == "span":
+        d = rep.prime_dim(end[1])
+        plus, minus = Subspace.full(p, d), Subspace.zero(p, d)
+    else:
+        plus, minus = _composite_tail_pair(rep, end[1])
+    return _apply_letters(rep, letters, plus), _apply_letters(rep, letters, minus)
+
+
+@pytest.fixture(scope="module")
+def sources():
+    """The bundled presentations by name and the generated ones by key, with
+    a seeded module over each; imported here, since the generated
+    presentations' file imports this one."""
+    from test_gap_pruning import _pres
+    from test_generated_presentations import VALID, _catalog, _planted_sum
+
+    def module(source, seed, kdim):
+        if isinstance(source, str):
+            return _conjugated_sum(_pres(source), random.Random(seed), kdim)
+        return _planted_sum(random.Random(seed), _catalog(*source), kdim)[1]
+
+    return sorted(PRESENTATIONS) + VALID, module
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_every_node_the_sweep_touched_holds_the_direct_pair(sources, pick, seed, kdim):
+    # a module over one shared presentation object, as in a long-lived
+    # process; the pairs and gap states of every node its sweep touched,
+    # against a memo-free computation on a fresh copy of the module
+    keys, module = sources
+    rep = module(keys[pick % len(keys)], seed, kdim)
+    report = multiplicities(rep)
+    assert report.complete
+    fresh = Representation(rep.pres, rep.dims, rep.mats)
+    want = {}
+    for node in rep._pairs.keys() | rep._gaps.keys():
+        want[node] = _direct_node_pair(fresh, *_spelled(rep.pres, node))
+    assert not fresh._images and not fresh._pairs
+    for node, pair in rep._pairs.items():
+        assert pair == want[node], _spelled(rep.pres, node)
+    for node, state in rep._gaps.items():
+        plus, minus = want[node]
+        assert state == (plus.dim > minus.dim), _spelled(rep.pres, node)
+
+
+def _refuse(what):
+    def refused(*args):
+        raise AssertionError(f"{what} ran again")
+
+    return refused
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_a_second_module_adds_no_node_and_builds_no_plan(name, monkeypatch):
+    make, args = PRESENTATIONS[name]
+    pres = make(*args)
+    rep = _conjugated_sum(pres, random.Random(f"forest/{name}"), 6)
+    first = multiplicities(rep)
+    forest = pres._forest
+    nodes, plan, halves = len(forest.nodes), forest.plans[6], len(forest.halves)
+    for attr in ("_screen_nodes", "_word_data", "walk_shape"):
+        monkeypatch.setattr(filtration, attr, _refuse(attr))
+    again = Representation(pres, rep.dims, rep.mats)
+    assert multiplicities(again) == first
+    assert again._pairs == rep._pairs and again._gaps == rep._gaps
+    assert len(forest.nodes) == nodes and len(forest.halves) == halves
+    assert list(forest.plans) == [6] and forest.plans[6] is plan
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_the_oracles_parts_reuse_the_forest(name, monkeypatch):
+    """oracle-check runs the whole module, then each brute-force part.  A
+    part's gaps are summands of the whole module's, so a part opens no node
+    that the whole left closed: its smaller plans filter the whole's plan,
+    and it adds no node, no shape and no enumeration."""
+    make, args = PRESENTATIONS[name]
+    pres = make(*args)
+    rep = _conjugated_sum(pres, random.Random(f"forest-parts/{name}"), 6)
+    multiplicities(rep)
+    parts = homalg.brute_decompose(rep)
+    assert len(parts) > 1, name
+    forest = pres._forest
+    nodes, whole = len(forest.nodes), {id(entry) for entry in forest.plans[6]}
+    for attr in ("_screen_nodes", "_word_data", "walk_shape"):
+        monkeypatch.setattr(filtration, attr, _refuse(attr))
+    for attr in ("enumerate_strings", "enumerate_bands"):
+        monkeypatch.setattr(filtration.words_mod, attr, _refuse(attr))
+    for part in parts:
+        assert multiplicities(part).checksum == part.dim()
+        assert {id(entry) for entry in forest.plans[part.dim()]} <= whole
+    assert len(forest.nodes) == nodes
+    assert set(forest.plans) == {6} | {part.dim() for part in parts}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_modules_over_one_presentation_keep_their_own_pairs(name):
+    """Two modules over one presentation object share its nodes, not their
+    pairs: each report is the one its module gives over a presentation of
+    its own.  The two are drawn so that those reports differ."""
+    make, args = PRESENTATIONS[name]
+    pres = make(*args)
+    drawn = []
+    for k in range(20):
+        rep = _conjugated_sum(pres, random.Random(f"own-pairs/{name}/{k}"), 6)
+        alone = multiplicities(Representation(make(*args), rep.dims, rep.mats))
+        if not drawn or alone != drawn[0][1]:
+            drawn.append((rep, alone))
+        if len(drawn) == 2:
+            break
+    assert len(drawn) == 2, name
+    assert [multiplicities(rep) for rep, _ in drawn] == [alone for _, alone in drawn], name
+    first, second = (rep._pairs for rep, _ in drawn)
+    assert any(first[node] != second[node] for node in first.keys() & second.keys()), name
 
 
 # -- reduced bases straight from the elimination -------------------------------
