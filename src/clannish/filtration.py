@@ -28,10 +28,10 @@ def _extension_arrows(pres, v, need):
 def _image(rep, letter, sub):
     """R(letter)(sub), memoised per module by (letter, subspace).
 
-    Many forest nodes reach the same subspace, so the pair memo alone takes
-    the same image again.  The key holds the walk letter's kind as well as
-    its name, since R(s) and R(s^-1) differ, and the canonical ``Subspace``,
-    which compares on its reduced basis.
+    Many half-walks reach the same subspace, so their own pairs alone would
+    take the same image again.  The key holds the walk letter's kind as well
+    as its name, since R(s) and R(s^-1) differ, and the canonical
+    ``Subspace``, which compares on its reduced basis.
     """
     cache = rep._images
     key = (letter, sub)
@@ -64,134 +64,104 @@ def _tail_pair(rep, period):
     """(D^+, D^-) of the periodic tail of period l1...ln: the stable image and
     stable kernel of R = R(l1...ln), without building R.
 
-    The iteration U -> l1(l2(...ln(U))) starts from the bound (R(full), R(0))
-    that the forest node of the period on its ("span", v) root holds and
-    takes every image through the (letter, subspace) memo ``_image``.
-    (R o S)(U) = R(S(U)), so it passes through the same spaces as the
-    iteration of R.
+    The iteration U -> l1(l2(...ln(U))) starts from the bound (R(full), R(0)),
+    the period's half-walk on its ("span", v) root, and takes every image
+    through the (letter, subspace) memo ``_image``.  (R o S)(U) = R(S(U)), so
+    it passes through the same spaces as the iteration of R.
     """
-    pres = rep.pres
 
     def step(space):
         for letter in reversed(period):
             space = _image(rep, letter, space)
         return space
 
-    upper, lower = _pair(rep, _node(pres, period, ("span", pres.tail(period[-1]))))
+    upper, lower = _pair(rep, period, ("span", rep.pres.tail(period[-1])))
     return _iterate(step, upper), _iterate(step, lower)
 
 
-# -- the half-walk forest -------------------------------------------------------
+# -- the module's half-walks ----------------------------------------------------
 
 
-class _Forest(NamedTuple):
-    """The memo places of one presentation's half-walks, interned as integer
-    node ids, and the sweep's per-dimension plans.
+class _Half:
+    """One module's half-walk l1 l2...ln C': its pair (D^+, D^-), whether its
+    gap dim D^+ - dim D^- is open, and its children, l0 l1...ln C' by l0.
 
-    Node i is ``nodes[i] = (letter, parent, end)``: the one-sided walk
-    l1 l2...ln C' is l1 prepended to its parent l2...ln C', and ``end`` names
-    the root the walk ends in: ("finite", v, need) for the trivial walk at v,
-    ("right", period) for a periodic tail, or ("span", v) for the pair
-    (full, 0) at v, from which the letters of a period R = R(l1...ln) carry
-    the bound (R(full), R(0)).  A root has no letter; its parent is -1, but a
-    periodic tail's parent is its bound, the period on its ("span", v) root.
-    Nodes hang on the presentation alone, so every module over it shares
-    them and keeps its own pairs and gap states by node id.
+    A child's pair is its letter's images of its parent's pair, so it is made
+    only below an open parent: gap(R(U), R(W)) <= gap(U, W) for W <= U, and a
+    closed half-walk closes every walk that ends in it.
     """
 
-    nodes: list  # node id -> (letter, parent id, end)
-    index: dict  # root end, or (parent id, letter), -> node id
-    plans: dict  # dim -> [[descriptor, screen node ids, word data or None]]
-    halves: dict  # (walk, i) -> node ids of the two half-walks at i
+    __slots__ = ("plus", "minus", "open", "children")
+
+    def __init__(self, plus, minus):
+        self.plus, self.minus = plus, minus
+        self.open = plus.dim > minus.dim
+        self.children = {}
 
 
-def _forest(pres):
-    forest = pres._forest
-    if forest is None:
-        forest = pres._forest = _Forest([], {}, {}, {})
-    return forest
+def _descend(rep, letters, end):
+    """(half, rest): the module's half-walk at the place (letters, end), read
+    from the root ``end`` down, and the letters still above it, none unless
+    it stopped at a closed half-walk.
 
-
-def _node(pres, letters, end):
-    """The node id of l1...ln C' with C' named by ``end``; created on first use."""
-    forest = _forest(pres)
-    index, nodes = forest.index, forest.nodes
-    node = index.get(end)
-    if node is None:
-        parent = -1
-        if end[0] == "right":
+    ``end`` names the root the walk ends in: ("finite", v, need) for the
+    trivial walk at v, ("right", period) for a periodic tail, or ("span", v)
+    for the pair (full, 0) at v, from which the letters of a period
+    R = R(l1...ln) carry the bound (R(full), R(0)).  A periodic tail first
+    walks its bound: R(0) <= D^- <= D^+ <= R(full), so a closed bound is the
+    tail's own pair, and the tail's letters go on from where the bound
+    stopped.  Every root checks D^- <= D^+, which the gap needs.
+    """
+    roots = rep._roots
+    half = roots.get(end)
+    if half is None:
+        kind = end[0]
+        if kind == "right":
             period = end[1]
-            parent = _node(pres, period, ("span", pres.tail(period[-1])))
-        node = index[end] = len(nodes)
-        nodes.append((None, parent, end))
-    for letter in reversed(letters):
-        key = (node, letter)
-        child = index.get(key)
-        if child is None:
-            child = index[key] = len(nodes)
-            nodes.append((letter, node, end))
-        node = child
-    return node
-
-
-def _pair(rep, node):
-    """(D^+, D^-) of forest node ``node`` in rep, memoised per module by id:
-    l1(D(l2...ln C')) for a letter on its parent, and the start spaces,
-    (full, 0) or the stable pair of the period at a root."""
-    pairs = rep._pairs
-    hit = pairs.get(node)
-    if hit is None:
-        letter, parent, end = rep.pres._forest.nodes[node]
-        if letter is not None:
-            plus, minus = _pair(rep, parent)
-            hit = (_image(rep, letter, plus), _image(rep, letter, minus))
-        elif end[0] == "finite":
-            hit = _finite_start(rep, end[1], end[2])
-        elif end[0] == "span":
+            bound, rest = _descend(rep, period, ("span", rep.pres.tail(period[-1])))
+            if not bound.open:
+                return bound, letters + rest
+            plus, minus = _tail_pair(rep, period)
+        elif kind == "finite":
+            plus, minus = _finite_start(rep, end[1], end[2])
+        else:
             p, d = rep.field.p, rep.prime_dim(end[1])
-            hit = (Subspace.full(p, d), Subspace.zero(p, d))
-        else:
-            hit = _tail_pair(rep, end[1])
-        pairs[node] = hit
-    return hit
+            plus, minus = Subspace.full(p, d), Subspace.zero(p, d)
+        if not minus <= plus:
+            raise SpaceMismatch("a walk filtration starts with D^- outside D^+")
+        half = roots[end] = _Half(plus, minus)
+    j = len(letters)
+    while j and half.open:
+        j -= 1
+        letter = letters[j]
+        child = half.children.get(letter)
+        if child is None:
+            child = half.children[letter] = _Half(
+                _image(rep, letter, half.plus), _image(rep, letter, half.minus)
+            )
+        half = child
+    return half, letters[:j]
 
 
-def _is_open(rep, node):
-    """Whether the gap dim D^+ - dim D^- of forest node ``node`` is open
-    (positive) in rep, memoised per module by id.
-
-    Prepending a letter maps both spaces through its relation R, and
-    gap(R(U), R(W)) <= gap(U, W) for W <= U, so a closed parent closes the
-    node and takes no image.  A periodic tail is closed when its bound
-    (R(full), R(0)) is: R(0) <= lower <= upper <= R(full) for its stable
-    pair.  Every root checks D^- <= D^+, which the gap needs.
-    """
-    gaps = rep._gaps
-    hit = gaps.get(node)
-    if hit is None:
-        letter, parent, _ = rep.pres._forest.nodes[node]
-        if parent >= 0 and not _is_open(rep, parent):
-            hit = False
-        else:
-            plus, minus = _pair(rep, node)
-            if letter is None and not minus <= plus:
-                raise SpaceMismatch("a walk filtration starts with D^- outside D^+")
-            hit = plus.dim > minus.dim
-        gaps[node] = hit
-    return hit
-
-
-def _all_open(rep, nodes):
-    """Whether every node of ``nodes`` is open in rep, read in order up to
-    the first closed one."""
-    gaps = rep._gaps
-    for node in nodes:
-        state = gaps.get(node)
-        if state is None:
-            state = _is_open(rep, node)
-        if not state:
+def _open_places(rep, places):
+    """Whether every half-walk of ``places`` is open in rep, read in order
+    up to the first closed one."""
+    for letters, end in places:
+        if not _descend(rep, letters, end)[0].open:
             return False
     return True
+
+
+def _pair(rep, letters, end):
+    """(D^+, D^-) of the half-walk at the place (letters, end) in rep.  Below
+    a closed half-walk D^+ = D^-, so one chain of images gives both."""
+    half, rest = _descend(rep, letters, end)
+    if not rest:
+        return half.plus, half.minus
+    space = half.plus
+    for letter in reversed(rest):
+        space = _image(rep, letter, space)
+    return space, space
 
 
 def _finite_end(pres, v, need):
@@ -203,7 +173,7 @@ def _finite_end(pres, v, need):
 
 
 def _walk_end(pres, walk):
-    """(letters, end): the memo place of a one-sided walk."""
+    """(letters, end): the place of a one-sided walk."""
     if walk.shape == "finite":
         return walk.letters, _finite_end(pres, *words_mod.right_end(pres, walk))
     if walk.shape == "right":
@@ -213,7 +183,7 @@ def _walk_end(pres, walk):
 
 def walk_plus_minus(rep, walk):
     """(D^+(M), D^-(M)) for a walk whose word lies in some H(l, eps)."""
-    return _pair(rep, _node(rep.pres, *_walk_end(rep.pres, walk)))
+    return _pair(rep, *_walk_end(rep.pres, walk))
 
 
 class FunctorReport(NamedTuple):
@@ -245,9 +215,9 @@ def f_dim(rep, desc_or_shape, index=None):
         i = index
     else:
         raise PreconditionViolated(f"index {index} is outside J_w of {shape.word!r}")
-    after, before = _half_nodes(pres, shape, i)
-    d_plus, d_minus = _pair(rep, after)
-    e_plus, e_minus = _pair(rep, before)
+    after, before = _half_ends(pres, shape, i)
+    d_plus, d_minus = _pair(rep, *after)
+    e_plus, e_minus = _pair(rep, *before)
     top = d_plus.intersect(e_plus)
     bottom = d_plus.intersect(e_minus).sum(d_minus.intersect(e_plus))
     field = rep.field
@@ -335,25 +305,26 @@ def multiplicities(rep):
     records that it does, a self-check that is false only on a defect.
 
     f_dim(w) is 0 when either half-walk of w at min J_w has D^+ = D^-, so
-    only candidates whose two halves keep an open gap (``_is_open``) get
+    only candidates whose two halves keep an open gap (``_open_places``) get
     ``f_dim``, on their memoised walk shape.  The presentation's plan for
-    dim (``_plan``) lists each candidate with the forest nodes its word
+    dim (``_plan``) lists each candidate with the half-walk places its word
     alone fixes; a candidate is screened on those first, and only the ones
     that pass get their shape, their fit to the module and the gap test of
-    their two halves.
+    their two halves.  The module makes its half-walks as the sweep reads
+    them, and none below a closed one.
     """
     pres, dims, dim = rep.pres, rep.dims, rep.dim()
     entries = []
     for entry in _plan(pres, dim):
         desc, screen, data = entry
-        if not _all_open(rep, screen):
+        if not _open_places(rep, screen):
             continue
         if data is None:
             data = entry[2] = _word_data(pres, desc)
         shape, counts, halves = data
         if any(dims[v] < c for v, c in counts):
             continue
-        if _all_open(rep, halves):
+        if _open_places(rep, halves):
             report = f_dim(rep, shape)
             if report.f_dim:
                 entries.append((desc, report.rank, report.f_dim))
@@ -362,13 +333,13 @@ def multiplicities(rep):
 
 
 def _plan(pres, dim):
-    """The sweep's plan for dim: one entry [descriptor, screen node ids,
-    word data] per candidate, in ``candidate_descriptors`` order, built on
-    the first call at dim.  A plan already made for a larger dim is
+    """The sweep's plan for dim: one entry [descriptor, screen places, word
+    data] per candidate, in ``candidate_descriptors`` order, built on the
+    first call at dim.  A plan already made for a larger dim is
     filtered, as the candidate list is; the filtered entries are the same
     lists, so they share their word data."""
     descs = candidate_descriptors(pres, dim)
-    plans = _forest(pres).plans
+    plans = pres._plans
     plan = plans.get(dim)
     if plan is None:
         larger = [k for k in plans if k > dim]
@@ -376,15 +347,15 @@ def _plan(pres, dim):
             fits = _within(pres, dim)
             plan = [entry for entry in plans[min(larger)] if fits(entry[0])]
         else:
-            plan = [[d, _screen_nodes(pres, d.word), None] for d in descs]
+            plan = [[d, _screen(pres, d.word), None] for d in descs]
         plans[dim] = plan
     return plan
 
 
-def _screen_nodes(pres, word):
-    """The forest nodes that the word alone fixes on the halves of the
-    candidate at min J_w = 0; if one of them is closed, so is that half, and
-    its f_dim is 0.
+def _screen(pres, word):
+    """The half-walk places (letters, end) that the word alone fixes on the
+    halves of the candidate at min J_w = 0; if one of them is closed, so is
+    that half, and its f_dim is 0.
 
     Only star letters are oriented by the canonical walk: every other word
     letter is a walk letter as it stands.  A string's halves at 0 are its
@@ -402,47 +373,42 @@ def _screen_nodes(pres, word):
             letters = letters[stars[-1] + 1 :]
         right = _finite_end(pres, *words_mod.right_end(pres, word))
         left = _finite_end(pres, word.v0, -word.eps)
-        return _node(pres, (), left), _node(pres, letters, right)
+        return ((), left), (letters, right)
     if pres.special and any(l.kind == "s" for l in word.period):
         return ()
     block = word.period
     inverted = tuple(l.inverse() for l in reversed(block))
-    return tuple(_node(pres, (), ("right", tail)) for tail in (block, inverted))
+    return ((), ("right", block)), ((), ("right", inverted))
 
 
 def _word_data(pres, desc):
-    """(shape, J_w vertex counts, half node ids at min J_w) of a candidate."""
+    """(shape, J_w vertex counts, half-walk places at min J_w) of a candidate."""
     shape = walk_shape(pres, desc)
     counts = {}
     for i in shape.Jw:
         v = words_mod.vertex_at(pres, shape.word, i)
         counts[v] = counts.get(v, 0) + 1
-    return shape, tuple(counts.items()), _half_nodes(pres, shape, min(shape.Jw))
-
-
-def _half_nodes(pres, shape, i):
-    """The forest nodes of the two half-walks at i, memoised per
-    presentation by (walk, i)."""
-    halves = _forest(pres).halves
-    key = (shape.walk, i)
-    hit = halves.get(key)
-    if hit is None:
-        hit = halves[key] = tuple(_node(pres, *place) for place in _half_ends(pres, shape, i))
-    return hit
+    return shape, tuple(counts.items()), _half_ends(pres, shape, min(shape.Jw))
 
 
 def _half_ends(pres, shape, i):
-    """The memo places (letters, end) of the two half-walks C_{>i} and
+    """The places (letters, end) of the two half-walks C_{>i} and
     (C_{<=i})^-1 that f_dim intersects at i: ``_walk_end`` of
-    ``words.suffix`` and ``words.prefix_inverse`` of the shape's walk.
+    ``words.suffix`` and ``words.prefix_inverse`` of the shape's walk,
+    memoised per presentation by (walk, i).
 
     A string's halves end at its right end and at ("finite", v_0, -eps);
     both must be right-end-admissible.  A suffix and an inverted prefix of a
     chain are chains, so a string is validated once, not each half.
     """
     walk = shape.walk
-    if walk.shape == "finite":
-        words_mod.validate_word(pres, walk)
-    return tuple(
-        _walk_end(pres, half(pres, walk, i)) for half in (words_mod.suffix, words_mod.prefix_inverse)
-    )
+    key = (walk, i)
+    hit = pres._halves.get(key)
+    if hit is None:
+        if walk.shape == "finite":
+            words_mod.validate_word(pres, walk)
+        hit = pres._halves[key] = tuple(
+            _walk_end(pres, half(pres, walk, i))
+            for half in (words_mod.suffix, words_mod.prefix_inverse)
+        )
+    return hit

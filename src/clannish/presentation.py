@@ -91,11 +91,12 @@ class Presentation:
             for v in self.vertices
         }
         # the letter tables of words, the candidate descriptors by dim, and
-        # filtration's half-walk forest with its per-dim plans; each filled on
-        # first use
+        # filtration's sweep plans by dim and half-walk places by (walk, i);
+        # each filled on first use
         self._word_tables = None
         self._descriptors = {}
-        self._forest = None
+        self._plans = {}
+        self._halves = {}
 
     # -- arrows and letters ---------------------------------------------------
 

@@ -37,10 +37,9 @@ class Representation:
         self._prime_cache = {}  # arrow -> packed prime matrix
         self._relation_cache = {}  # relations.arrow_relation
         # filtration: relation images by (walk letter, subspace), and the
-        # pair (D^+, D^-) and open gap of each half-walk forest node, by id
+        # roots of the half-walks this module made, by end
         self._images = {}
-        self._pairs = {}
-        self._gaps = {}
+        self._roots = {}
 
     @property
     def field(self):

@@ -125,7 +125,7 @@ def test_f_dim_rejects_an_index_outside_j_w(GP2, shape):
             f_dim(fresh, spec, index=idx)
         with pytest.raises(PreconditionViolated):
             f_dim(fresh, desc, index=idx)
-    assert not fresh._images and not fresh._pairs
+    assert not fresh._images and not fresh._roots
     assert f_dim(fresh, spec, index=max(spec.Jw)).f_dim == f_dim(rep, spec).f_dim
 
 

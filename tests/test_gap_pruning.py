@@ -7,7 +7,7 @@ tail's stable pair lies between R(0) and R(full) of its period.  The
 reference sweep below runs ``f_dim`` on every candidate that fits the
 module, as ``multiplicities`` did before it skipped the closed ones, and
 builds the shape of every candidate, as it did before it screened each one
-on the forest nodes that the word alone fixes.
+on the half-walk places that the word alone fixes.
 """
 
 import random
@@ -147,7 +147,7 @@ def test_a_root_with_d_minus_outside_d_plus_raises(E1, monkeypatch):
 
     monkeypatch.setattr(filtration, "_finite_start", swapped)
     with pytest.raises(SpaceMismatch):
-        filtration._is_open(rep, filtration._node(E1, (), ("finite", "1", 1)))
+        filtration._open_places(rep, [((), ("finite", "1", 1))])
     with pytest.raises(SpaceMismatch):
         filtration.multiplicities(Representation(rep.pres, rep.dims, rep.mats))
 
@@ -165,15 +165,11 @@ def _shape(name, desc):
     return _SHAPES[key]
 
 
-def _suffixes(pres, node):
-    """The forest node and the nodes below it down to its root: the memo
-    places of the suffixes of the walk it stands for."""
-    nodes = pres._forest.nodes
-    chain = [node]
-    while nodes[node][0] is not None:
-        node = nodes[node][1]
-        chain.append(node)
-    return chain
+def _suffixes(place):
+    """The places of the suffixes of the half-walk at ``place``: its letters
+    from each position on, down to the bare root."""
+    letters, end = place
+    return [(letters[j:], end) for j in range(len(letters) + 1)]
 
 
 @given(st.sampled_from(sorted(PRESENTATIONS)), st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -183,7 +179,7 @@ def test_the_screen_never_rejects_a_candidate_with_two_open_halves(name, seed, k
     ref = Representation(pres, rep.dims, rep.mats)
     for desc, screen, _ in filtration._plan(pres, kdim):
         both_open = all(_open_halves(ref, _shape(name, desc)))
-        passed = filtration._all_open(rep, screen)
+        passed = filtration._open_places(rep, screen)
         assert passed or not both_open, desc.word
         letters = desc.word.letters + desc.word.period
         if not any(l.is_star for l in letters):
@@ -192,22 +188,22 @@ def test_the_screen_never_rejects_a_candidate_with_two_open_halves(name, seed, k
 
 
 def test_the_screen_reads_suffixes_of_the_halves_alone():
-    # every forest node the screen tests is a suffix of a half at min J_w
-    # that the canonical walk gives, so it reads what the full gap test would
-    # read; the screen reads its nodes in order up to the first closed one
+    # every place the screen tests is a suffix of a half at min J_w that the
+    # canonical walk gives, so it reads what the full gap test would read;
+    # the screen reads its places in order up to the first closed one
     past_the_left_root = 0
     for name in sorted(PRESENTATIONS):
         pres = _pres(name)
         rep = _conjugated_sum(pres, random.Random(f"screen-reads/{name}"), 6)
         for desc, screen, _ in filtration._plan(pres, 6):
             shape = _shape(name, desc)
-            halves = filtration._half_nodes(pres, shape, min(shape.Jw))
-            suffixes = {n for half in halves for n in _suffixes(pres, half)}
+            halves = filtration._half_ends(pres, shape, min(shape.Jw))
+            suffixes = {place for half in halves for place in _suffixes(half)}
             assert set(screen) <= suffixes, (desc.word, screen, halves)
             reads = 0
-            for node in screen:
+            for place in screen:
                 reads += 1
-                if not filtration._is_open(rep, node):
+                if not filtration._open_places(rep, [place]):
                     break
             past_the_left_root += any(l.is_star for l in desc.word.letters) and reads == 2
     # strings with a star letter whose right half was read too (on A4)
@@ -229,9 +225,11 @@ def test_only_candidates_that_pass_the_screen_get_a_shape(name, monkeypatch):
 
     monkeypatch.setattr(filtration, "walk_shape", recording_shape)
     got = filtration.multiplicities(rep)
-    # the module's gap states are memoised: reading the screen again takes
-    # no image and gives the sweep's verdicts
-    passed = [d.word for d, screen, _ in filtration._plan(pres, 8) if filtration._all_open(rep, screen)]
+    # the module keeps its half-walks: reading the screen again takes no
+    # image and gives the sweep's verdicts
+    images = len(rep._images)
+    passed = [d.word for d, screen, _ in filtration._plan(pres, 8) if filtration._open_places(rep, screen)]
+    assert len(rep._images) == images
     assert got == reference_multiplicities(Representation(pres, rep.dims, rep.mats))[0]
     assert shaped == passed
     assert len(got.entries) <= len(shaped) < len(candidate_descriptors(pres, 8)) // 10

@@ -176,6 +176,28 @@ def test_kernel_takes_slots_up_to_the_square(p):
     assert [_unpack(basis[q], p, width) for q in pivots] == red
 
 
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
+def test_clearing_reduces_at_the_exact_carry_bound(p):
+    """Clearing one row takes the bound on its slot n + 1 to top * m, the
+    one multiple of top = p - 1 in (2**bits - 1, 2**bits - 1 + top], and the
+    slot holds that bound exactly: it starts at top**2, and each of the n
+    seed rows e_q + top * e_{n+1} adds g * top with g = -v[q] mod p.  So the
+    step that crosses 2**bits - 1 must reduce first; one that reduces only
+    past 2**bits - 1 + top carries into slot n + 2.  Over GF(3) that is 63
+    seed rows, and the incoming row has 1 in slots 0-62 and 4 in slot 64."""
+    top, bits = p - 1, slot_bits(p)
+    m = (2**bits - 1) // top + 1
+    assert m % p  # so that the row keeps a pivot at n + 1
+    whole, rest = divmod(m - top, top)
+    gs = [top] * whole + [rest] * (rest > 0)
+    n = len(gs)
+    last = n + 1
+    seed = [(q, (1 << (bits * q)) + (top << (bits * last))) for q in range(n)]
+    row = sum((p - g) << (bits * q) for q, g in enumerate(gs)) + (top * top << (bits * last))
+    basis = _rref_ints([row], p, seed)
+    assert sorted(basis.items()) == [(q, 1 << (bits * q)) for q in (*range(n), last)]
+
+
 # -- the GF(2) kernel ----------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
-"""The walk filtrations memoised on each presentation's half-walk forest and
-by (letter, subspace), and the reduced bases that relation images and
+"""The walk filtrations memoised on each module's half-walks and by
+(letter, subspace), and the reduced bases that relation images and
 composites are built from, checked against the direct algorithms they
 replace.
 
@@ -7,9 +7,9 @@ The reference below rebuilds D^+ and D^- of a walk from scratch: start
 spaces at the walk's end, then the letter relations applied right to left;
 a right-infinite walk starts from the stable pair of its period composite,
 composed one letter at a time.  The decompose path builds no composite: it
-iterates a period letter by letter through the image memo.  The forest
-nodes hang on the presentation and the pairs on the module: what is shared
-between modules, and what is not, is checked at the end.
+iterates a period letter by letter through the image memo.  The sweep's
+plans hang on the presentation and the half-walks on the module: what is
+shared between modules, and what is not, is checked at the end.
 """
 
 import random
@@ -147,7 +147,7 @@ def test_memoised_filtrations_match_the_direct_algorithm(name):
         fresh = Representation(pres, rep.dims, rep.mats)
         got = {i: walk_plus_minus(fresh, walks[i]) for i in range(len(walks))[::order]}
         assert [got[i] for i in range(len(walks))] == expected, (name, order)
-        assert fresh._pairs
+        assert fresh._roots
 
 
 @pytest.mark.parametrize("name", PRESENTATIONS)
@@ -247,21 +247,39 @@ def test_modules_are_read_only(E1):
         del rep.dims["1"]
 
 
-# -- the half-walk forest ---------------------------------------------------------
+# -- the module's half-walks -----------------------------------------------------
 
 
-def _spelled(pres, node):
-    """(letters, end): the walk that forest node ``node`` stands for."""
-    nodes = pres._forest.nodes
-    letter, parent, end = nodes[node]
-    letters = []
-    while letter is not None:
-        letters.append(letter)
-        letter, parent, _ = nodes[parent]
-    return tuple(letters), end
+def _made(rep):
+    """{place: half-walk} over every half-walk the module made: each root by
+    its end, and each child at its letter prepended to its parent's place."""
+    made, stack = {}, [((), end, half) for end, half in rep._roots.items()]
+    while stack:
+        letters, end, half = stack.pop()
+        made[letters, end] = half
+        stack.extend(((letter,) + letters, end, child) for letter, child in half.children.items())
+    return made
 
 
-def _direct_node_pair(rep, letters, end):
+def _made_pairs(rep):
+    return {place: (half.plus, half.minus, half.open) for place, half in _made(rep).items()}
+
+
+def _check_made_below_open_ones(rep):
+    """Every half-walk the module made hangs on an open one: a child on its
+    open parent, and a periodic tail's root on its open bound, the period
+    on ("span", v).  Returns how many closed half-walks it made."""
+    made = _made(rep)
+    for (letters, end), half in made.items():
+        if letters:
+            assert made[letters[1:], end].open, (letters, end)
+        elif end[0] == "right":
+            period = end[1]
+            assert made[period, ("span", rep.pres.tail(period[-1]))].open, end
+    return sum(not half.open for half in made.values())
+
+
+def _direct_place_pair(rep, letters, end):
     """(D^+, D^-) of l1...ln C' with no memo: the start spaces of C', then
     each letter's relation image, right to left."""
     p = rep.field.p
@@ -294,22 +312,34 @@ def sources():
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(2, 6))
 def test_every_node_the_sweep_touched_holds_the_direct_pair(sources, pick, seed, kdim):
     # a module over one shared presentation object, as in a long-lived
-    # process; the pairs and gap states of every node its sweep touched,
-    # against a memo-free computation on a fresh copy of the module
+    # process; the pair and gap state of every half-walk its sweep made,
+    # against a memo-free computation on a fresh copy of the module, and
+    # none made below a closed one
     keys, module = sources
     rep = module(keys[pick % len(keys)], seed, kdim)
     report = multiplicities(rep)
     assert report.complete
+    made = _made(rep)
+    assert made
     fresh = Representation(rep.pres, rep.dims, rep.mats)
-    want = {}
-    for node in rep._pairs.keys() | rep._gaps.keys():
-        want[node] = _direct_node_pair(fresh, *_spelled(rep.pres, node))
-    assert not fresh._images and not fresh._pairs
-    for node, pair in rep._pairs.items():
-        assert pair == want[node], _spelled(rep.pres, node)
-    for node, state in rep._gaps.items():
-        plus, minus = want[node]
-        assert state == (plus.dim > minus.dim), _spelled(rep.pres, node)
+    want = {place: _direct_place_pair(fresh, *place) for place in made}
+    assert not fresh._images and not fresh._roots
+    for place, half in made.items():
+        plus, minus = want[place]
+        assert (half.plus, half.minus) == (plus, minus), place
+        assert half.open == (plus.dim > minus.dim), place
+    _check_made_below_open_ones(rep)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_no_half_walk_is_made_below_a_closed_one(name):
+    """The sweep reads each place from its root down and stops at the first
+    closed half-walk: every half-walk it made hangs on an open one, and it
+    did meet closed ones."""
+    make, args = PRESENTATIONS[name]
+    rep = _conjugated_sum(make(*args), random.Random(f"below-open/{name}"), 6)
+    assert multiplicities(rep).complete
+    assert _check_made_below_open_ones(rep), name
 
 
 def _refuse(what):
@@ -321,51 +351,56 @@ def _refuse(what):
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_a_second_module_adds_no_node_and_builds_no_plan(name, monkeypatch):
+    """A second module over one presentation reads the plan and the
+    half-walk places the first one built, and makes its own half-walks:
+    the same ones, with the same pairs, for the same arrow matrices."""
     make, args = PRESENTATIONS[name]
     pres = make(*args)
     rep = _conjugated_sum(pres, random.Random(f"forest/{name}"), 6)
     first = multiplicities(rep)
-    forest = pres._forest
-    nodes, plan, halves = len(forest.nodes), forest.plans[6], len(forest.halves)
-    for attr in ("_screen_nodes", "_word_data", "walk_shape"):
+    plan, halves = pres._plans[6], len(pres._halves)
+    for attr in ("_screen", "_word_data", "walk_shape"):
         monkeypatch.setattr(filtration, attr, _refuse(attr))
     again = Representation(pres, rep.dims, rep.mats)
     assert multiplicities(again) == first
-    assert again._pairs == rep._pairs and again._gaps == rep._gaps
-    assert len(forest.nodes) == nodes and len(forest.halves) == halves
-    assert list(forest.plans) == [6] and forest.plans[6] is plan
+    assert _made_pairs(again) == _made_pairs(rep)
+    assert all(again._roots[end] is not rep._roots[end] for end in rep._roots)
+    assert len(pres._halves) == halves
+    assert list(pres._plans) == [6] and pres._plans[6] is plan
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_the_oracles_parts_reuse_the_forest(name, monkeypatch):
     """oracle-check runs the whole module, then each brute-force part.  A
-    part's gaps are summands of the whole module's, so a part opens no node
-    that the whole left closed: its smaller plans filter the whole's plan,
-    and it adds no node, no shape and no enumeration."""
+    part's gaps are summands of the whole module's, so a part opens no
+    half-walk that the whole left closed: it makes half-walks only at places
+    the whole made, its smaller plans filter the whole's plan, and it adds
+    no half-walk place, no shape and no enumeration."""
     make, args = PRESENTATIONS[name]
     pres = make(*args)
     rep = _conjugated_sum(pres, random.Random(f"forest-parts/{name}"), 6)
     multiplicities(rep)
     parts = homalg.brute_decompose(rep)
     assert len(parts) > 1, name
-    forest = pres._forest
-    nodes, whole = len(forest.nodes), {id(entry) for entry in forest.plans[6]}
-    for attr in ("_screen_nodes", "_word_data", "walk_shape"):
+    halves, whole = len(pres._halves), {id(entry) for entry in pres._plans[6]}
+    for attr in ("_screen", "_word_data", "walk_shape"):
         monkeypatch.setattr(filtration, attr, _refuse(attr))
     for attr in ("enumerate_strings", "enumerate_bands"):
         monkeypatch.setattr(filtration.words_mod, attr, _refuse(attr))
+    places = _made(rep).keys()
     for part in parts:
         assert multiplicities(part).checksum == part.dim()
-        assert {id(entry) for entry in forest.plans[part.dim()]} <= whole
-    assert len(forest.nodes) == nodes
-    assert set(forest.plans) == {6} | {part.dim() for part in parts}
+        assert {id(entry) for entry in pres._plans[part.dim()]} <= whole
+        assert _made(part).keys() <= places, name
+    assert len(pres._halves) == halves
+    assert set(pres._plans) == {6} | {part.dim() for part in parts}
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_modules_over_one_presentation_keep_their_own_pairs(name):
-    """Two modules over one presentation object share its nodes, not their
-    pairs: each report is the one its module gives over a presentation of
-    its own.  The two are drawn so that those reports differ."""
+    """Two modules over one presentation object share its plan, not their
+    half-walks: each report is the one its module gives over a presentation
+    of its own.  The two are drawn so that those reports differ."""
     make, args = PRESENTATIONS[name]
     pres = make(*args)
     drawn = []
@@ -378,8 +413,8 @@ def test_modules_over_one_presentation_keep_their_own_pairs(name):
             break
     assert len(drawn) == 2, name
     assert [multiplicities(rep) for rep, _ in drawn] == [alone for _, alone in drawn], name
-    first, second = (rep._pairs for rep, _ in drawn)
-    assert any(first[node] != second[node] for node in first.keys() & second.keys()), name
+    first, second = (_made_pairs(rep) for rep, _ in drawn)
+    assert any(first[place] != second[place] for place in first.keys() & second.keys()), name
 
 
 # -- reduced bases straight from the elimination -------------------------------
